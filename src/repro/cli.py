@@ -17,10 +17,9 @@ Subcommands:
   with ``--gold`` also prints the execution-accuracy verdict
   (see ``docs/execution.md``).
 - ``serve``    — run the resilient serving daemon: JSON-lines requests
-  on stdin, responses on stdout, with per-request deadlines, load
-  shedding, degraded-mode fallbacks, and HTTP health/readiness probes;
-  ``--async`` swaps in the micro-batching asyncio front end (pipelined
-  stdin plus ``--port`` TCP) — see ``docs/serving.md``.
+  on stdin (and ``--port`` TCP), micro-batched, with per-request
+  deadlines, load shedding, degraded-mode fallbacks, and HTTP health,
+  readiness and telemetry endpoints — see ``docs/serving.md``.
 
 ``dictate`` and ``correct`` accept ``--search-kernel`` (compiled / flat
 / reference), ``--trace-out FILE`` (JSON-lines spans), ``--metrics-out
@@ -188,20 +187,12 @@ def _cmd_correct(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Terminated(SystemExit):
-    """Raised by the serve SIGTERM handler so ``finally`` blocks run."""
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-
     from repro.errors import ShardPoolError
     from repro.observability import RotatingTraceSink
     from repro.serving import (
         AsyncServingDaemon,
-        ServingDaemon,
         ServingRuntime,
-        TelemetryPlane,
         run_async_daemon,
     )
 
@@ -243,66 +234,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session_ttl=args.session_ttl,
         session_limit=args.session_limit,
     )
-    use_async = getattr(args, "use_async", False)
-    frontend_metrics = None
-    daemon = None
-    code = 0
-
-    def _on_sigterm(signum, frame):  # pragma: no cover - signal path
-        raise _Terminated(0)
-
-    previous_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
+    # The batcher writes into its own registry on the event-loop thread
+    # (registries are not locked); the telemetry plane snapshots it on
+    # the loop, and it is merged into the main registry after the loop
+    # exits, before export.
+    frontend_metrics = MetricsRegistry()
+    daemon = AsyncServingDaemon(
+        runtime,
+        health_port=args.health_port,
+        telemetry_port=args.telemetry_port,
+        port=args.port,
+        max_batch_size=args.batch_size,
+        max_wait_ms=args.batch_wait_ms,
+        max_line_bytes=args.max_line_bytes,
+        metrics=frontend_metrics,
+    )
     try:
-        if use_async:
-            # The batcher writes into its own registry on the event-loop
-            # thread (registries are not locked); the telemetry plane
-            # snapshots it on the loop, and it is merged into the main
-            # registry after the loop exits, before export.
-            frontend_metrics = MetricsRegistry()
-            telemetry = TelemetryPlane(runtime, registries=(frontend_metrics,))
-            daemon = AsyncServingDaemon(
-                runtime,
-                health_port=args.health_port,
-                port=args.port,
-                max_batch_size=args.batch_size,
-                max_wait_ms=args.batch_wait_ms,
-                max_line_bytes=args.max_line_bytes,
-                metrics=frontend_metrics,
-                telemetry_port=args.telemetry_port,
-                telemetry=telemetry,
-            )
-            code = run_async_daemon(daemon)
-        else:
-            telemetry = TelemetryPlane(runtime)
-            daemon = ServingDaemon(
-                runtime,
-                health_port=args.health_port,
-                max_line_bytes=args.max_line_bytes,
-                telemetry_port=args.telemetry_port,
-                telemetry=telemetry,
-            )
-            if args.health_port is not None:
-                daemon.start_health_server()
-                host, port = daemon.health_address
-                print(f"health: http://{host}:{port}", file=sys.stderr,
-                      flush=True)
-            daemon.start_telemetry_server()
-            if daemon.telemetry_address is not None:
-                host, port = daemon.telemetry_address
-                print(f"telemetry: http://{host}:{port}", file=sys.stderr,
-                      flush=True)
-            print("ready", file=sys.stderr, flush=True)
-            code = daemon.run(sys.stdin, sys.stdout)
-    except (KeyboardInterrupt, _Terminated):
-        # Orchestrator stop (SIGTERM) or ^C: exit cleanly so the
-        # finally block below flushes every requested output.
-        code = 0
+        # Returns on stdin EOF, SIGTERM or SIGINT, after the drain.
+        code = run_async_daemon(daemon)
     finally:
-        signal.signal(signal.SIGTERM, previous_sigterm)
-        if use_async and daemon is not None and frontend_metrics is not None:
-            daemon.batcher.merge_metrics_into(metrics)
+        daemon.batcher.merge_metrics_into(metrics)
         runtime.flush_traces()
-        service.close()  # idempotent; daemon.run normally shuts down first
+        service.close()  # idempotent; the daemon normally shuts down first
         if args.metrics_out:
             write_metrics(metrics, args.metrics_out)
             print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
@@ -463,7 +416,7 @@ def _add_observability_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.serving.daemon import DEFAULT_MAX_LINE_BYTES
+    from repro.serving.protocol import DEFAULT_MAX_LINE_BYTES
 
     parser = argparse.ArgumentParser(
         prog="speakql",
@@ -530,22 +483,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="live correction sessions kept before LRU "
                             "eviction (default 64)")
     serve.add_argument("--health-port", type=int, default=None,
-                       help="serve /healthz and /readyz on this port "
-                            "(0 = ephemeral; omit to disable)")
+                       help="serve /healthz, /readyz, /metrics and "
+                            "/statusz on this port (0 = ephemeral; omit to "
+                            "disable)")
     serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="asyncio front end: concurrent requests "
-                            "(pipelined stdin and --port TCP) coalesce "
-                            "into micro-batches before dispatch")
+                       help="deprecated, does nothing: the daemon is "
+                            "always the asyncio front end")
     serve.add_argument("--port", type=int, default=None,
-                       help="with --async: also accept JSON-lines "
-                            "connections on this TCP port (0 = ephemeral; "
-                            "stdin EOF still ends the daemon)")
+                       help="also accept JSON-lines connections on this "
+                            "TCP port (0 = ephemeral; stdin EOF still ends "
+                            "the daemon)")
     serve.add_argument("--batch-size", type=int, default=8,
-                       help="with --async: flush a micro-batch at this "
-                            "many coalesced requests")
+                       help="flush a micro-batch at this many coalesced "
+                            "requests")
     serve.add_argument("--batch-wait-ms", type=float, default=2.0,
-                       help="with --async: max time a request waits for "
-                            "batch-mates before a flush")
+                       help="max time a request waits for batch-mates "
+                            "before a flush")
     serve.add_argument("--max-line-bytes", type=int,
                        default=DEFAULT_MAX_LINE_BYTES,
                        help="largest accepted request line; longer lines "
@@ -553,10 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--metrics-out", metavar="FILE", default=None,
                        help="write serving metrics on exit")
     serve.add_argument("--telemetry-port", type=int, default=None,
-                       help="serve GET /metrics and /statusz on this "
-                            "dedicated port (0 = ephemeral); with "
-                            "--health-port the probe port serves them "
-                            "too in non-async mode")
+                       help="serve the same endpoints as --health-port "
+                            "on a second, dedicated port (0 = ephemeral)")
     serve.add_argument("--trace-out", metavar="FILE", default=None,
                        help="stream sampled request traces as JSON-lines "
                             "spans into a size-capped rotating file")

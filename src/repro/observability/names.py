@@ -37,7 +37,7 @@ SPAN_NAMES: dict[str, str] = {
                            "leg, recorded in the child and re-parented "
                            "under the coordinator's `shard.search` span "
                            "when the result frame returns.",
-    "batch.flush": "One micro-batch dispatched by the async front end's "
+    "batch.flush": "One micro-batch dispatched by the serving daemon's "
                    "coalescing batcher (covers the whole "
                    "ServingRuntime.submit_batch call).",
     "execution.run": "One (gold, predicted) pair scored against a real "

@@ -4,13 +4,13 @@ Layer 5 of the architecture: :class:`ServingRuntime` wraps the batch
 :class:`~repro.core.service.SpeakQLService` with per-request service
 levels (deadline budgets enforced at stage boundaries, load shedding
 under saturation, a degradation ladder of cheaper configurations, and
-per-rung circuit breakers); :class:`ServingDaemon` exposes it as a
-serial JSON-lines daemon with HTTP health/readiness probes (``repro
-serve``), and :class:`AsyncServingDaemon` + :class:`MicroBatcher`
-(``repro serve --async``) as an asyncio front end that coalesces
-concurrent requests into micro-batches before dispatch.
+per-rung circuit breakers); :class:`AsyncServingDaemon` +
+:class:`MicroBatcher` (``repro serve``) expose it as an asyncio
+JSON-lines daemon over stdin and TCP that coalesces concurrent requests
+into micro-batches before dispatch, with HTTP health, readiness and
+telemetry endpoints.
 
-Both daemons speak the shared versioned wire codec of
+The daemon speaks the versioned wire codec of
 :mod:`repro.serving.protocol`, and correction sessions
 (:mod:`repro.serving.sessions`) make the paper's clause-level
 re-dictation loop incremental: a turn re-searches only the edited
@@ -19,17 +19,13 @@ clause span and splices cached decodes for the rest.
 
 from repro.serving.async_daemon import AsyncServingDaemon, run_async_daemon
 from repro.serving.batcher import MicroBatcher, flush_by
-from repro.serving.daemon import (
-    DEFAULT_MAX_LINE_BYTES,
-    ServingDaemon,
-    ensure_trace_id,
-    request_from_wire,
-)
 from repro.serving.protocol import (
+    DEFAULT_MAX_LINE_BYTES,
     ERROR_KINDS,
     PROTOCOL_VERSION,
     decode_request,
     encode_response,
+    ensure_trace_id,
 )
 from repro.serving.sessions import (
     SessionDecoder,
@@ -65,7 +61,6 @@ __all__ = [
     "MicroBatcher",
     "PROTOCOL_VERSION",
     "Rung",
-    "ServingDaemon",
     "ServingRuntime",
     "SessionDecoder",
     "SessionStore",
@@ -76,7 +71,6 @@ __all__ = [
     "encode_response",
     "ensure_trace_id",
     "flush_by",
-    "request_from_wire",
     "run_async_daemon",
     "telemetry_response",
 ]

@@ -1,38 +1,60 @@
-"""Asyncio JSON-lines server with a coalescing micro-batch front end.
+"""The serving daemon: JSON lines over stdin and TCP, micro-batched.
 
-:class:`AsyncServingDaemon` replaces the serial request loop of
-:class:`~repro.serving.daemon.ServingDaemon` with an event loop that
-accepts **concurrent** requests — pipelined on stdin and over any number
-of TCP connections — and funnels them through a
-:class:`~repro.serving.batcher.MicroBatcher`, so requests arriving
-within the coalescing window are dispatched as one
-:meth:`~repro.serving.runtime.ServingRuntime.submit_batch` call.
+``repro serve`` runs :class:`AsyncServingDaemon`: one JSON object per
+line in, one JSON object per line out, on stdin/stdout and on any
+number of TCP connections (``--port``).  The wire format is the
+:meth:`~repro.api.QueryResponse.to_dict` summary plus the request's
+``id`` echoed back (see :mod:`repro.serving.protocol`)::
 
-Wire format is unchanged (one JSON object per line, ``id`` echoed back;
-see :mod:`repro.serving.daemon`), with two front-end differences:
+    {"id": 1, "text": "SELECT Salary FROM Employees", "seed": 7}
+    {"id": 2, "text": "select salary from celeries"}
+    {"id": 3, "text": "...", "deadline_ms": 1}
 
-- responses on a connection come back **as they finish**, not in
-  request order — correlate by ``id`` (lockstep clients still work:
-  one request in, one response out);
-- protocol errors carry ``"error_kind": "invalid_request"`` and the
-  connection survives them, including frames beyond ``max_line_bytes``
-  (the TCP reader discards the oversized frame without buffering it).
+    {"id": 1, "outcome": "served", "sql": "...", ...}
+    {"id": 3, "outcome": "timeout", "error": "deadline exceeded ...", ...}
+    {"id": 2, "outcome": "served", ...}
 
-Lifecycle: the daemon serves until stdin EOF (the same contract as the
-serial daemon), then drains the batcher — pending requests flush with
-reason ``drain`` — closes TCP connections, and shuts the runtime down.
+Requests are served concurrently: an event loop funnels every line
+through a :class:`~repro.serving.batcher.MicroBatcher`, so requests
+arriving within the coalescing window are dispatched as one
+:meth:`~repro.serving.runtime.ServingRuntime.submit_batch` call.  So:
+
+- replies on a stream come back **as they finish**, not in request
+  order — correlate by ``id`` (lockstep clients still work: one
+  request in, one reply out); correction-session turns stay strictly
+  ordered per session (an early turn is a ``turn_conflict``);
+- a malformed or oversized line (see ``max_line_bytes``) draws a
+  structured ``invalid_request`` error and the stream survives it (the
+  TCP reader discards an oversized frame without buffering it whole).
+
+``health_port`` and ``telemetry_port`` both bind an
+:class:`~repro.serving.telemetry.AsyncTelemetryServer` on the loop,
+answering ``/healthz`` (liveness), ``/readyz`` (503 while the queue is
+full or the shard pool is down), ``/metrics`` and ``/statusz``.
+
+Every request carries a ``trace_id``: supplied by the client on the
+wire, or generated at this edge.  It is echoed on the reply, stamped on
+every span the request opens, and follows the request into the shard
+workers.
+
+Lifecycle: the daemon serves until stdin EOF or :meth:`stop` (which
+:func:`run_async_daemon` wires to SIGTERM and SIGINT), then drains the
+batcher — pending requests flush with reason ``drain`` — closes TCP
+connections, and shuts the runtime down.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import sys
+import threading
 from typing import IO, AsyncIterator
 
 from repro.serving.batcher import MicroBatcher
-from repro.serving.daemon import DEFAULT_MAX_LINE_BYTES, start_health_server
 from repro.serving.protocol import (
+    DEFAULT_MAX_LINE_BYTES,
     decode_request,
     ensure_trace_id,
     error_kind_of,
@@ -41,6 +63,7 @@ from repro.serving.protocol import (
     response_frames,
 )
 from repro.serving.runtime import ServingRuntime
+from repro.serving.telemetry import AsyncTelemetryServer, TelemetryPlane
 
 #: Chunk size of the bounded TCP line reader.
 _READ_CHUNK = 1 << 16
@@ -97,10 +120,12 @@ async def read_bounded_lines(
 class AsyncServingDaemon:
     """Micro-batching JSON-lines daemon over stdin and/or TCP.
 
-    Parameters mirror :class:`~repro.serving.daemon.ServingDaemon` plus
-    the batcher knobs.  ``port`` enables the TCP listener (0 =
-    ephemeral, read the bound address back from :attr:`tcp_address`);
-    stdin remains the lifetime control either way.
+    ``port`` enables the TCP listener (0 = ephemeral, read the bound
+    address back from :attr:`tcp_address`); stdin remains the lifetime
+    control either way.  ``health_port``/``telemetry_port``: ``None``
+    disables that HTTP server, ``0`` binds an ephemeral port; both serve
+    :attr:`telemetry`, which merges the runtime's registry with
+    ``metrics``, the batcher's loop-confined registry.
     """
 
     def __init__(
@@ -109,7 +134,6 @@ class AsyncServingDaemon:
         *,
         health_port: int | None = None,
         telemetry_port: int | None = None,
-        telemetry=None,
         port: int | None = None,
         host: str = "127.0.0.1",
         max_batch_size: int = 8,
@@ -125,7 +149,9 @@ class AsyncServingDaemon:
         self.runtime = runtime
         self.health_port = health_port
         self.telemetry_port = telemetry_port
-        self.telemetry = telemetry
+        self.telemetry = TelemetryPlane(
+            runtime, registries=(metrics,) if metrics is not None else ()
+        )
         self.port = port
         self.host = host
         self.max_line_bytes = max_line_bytes
@@ -138,10 +164,14 @@ class AsyncServingDaemon:
             metrics=metrics,
             tracer=tracer,
         )
-        self._health_server = None
-        self._telemetry_server = None
+        self._health_server: AsyncTelemetryServer | None = None
+        self._telemetry_server: AsyncTelemetryServer | None = None
         self._tcp_server: asyncio.AbstractServer | None = None
-        self._connection_tasks: set[asyncio.Task] = set()
+        self._connections: dict[
+            asyncio.Task, tuple[asyncio.StreamReader, asyncio.StreamWriter]
+        ] = {}
+        self._stdin_lines: asyncio.Queue | None = None
+        self._stopping = False
 
     # -- addresses -----------------------------------------------------------
 
@@ -149,7 +179,7 @@ class AsyncServingDaemon:
     def health_address(self) -> tuple[str, int] | None:
         if self._health_server is None:
             return None
-        return self._health_server.server_address[:2]
+        return self._health_server.address
 
     @property
     def telemetry_address(self) -> tuple[str, int] | None:
@@ -197,23 +227,39 @@ class AsyncServingDaemon:
     # -- stdin / stdout ------------------------------------------------------
 
     async def _stdin_loop(self, stdin: IO[str], stdout: IO[str]) -> None:
-        """Read stdin lines, serve each as its own task, until EOF.
+        """Read stdin lines, serve each as its own task, until EOF or
+        :meth:`stop`.
 
-        Lines are read through the executor so a blocking ``readline``
-        never stalls the loop; responses are written as they complete
-        (atomic per line), so pipelined stdin requests batch together.
+        Lines are read on a daemon thread, so a blocking ``readline``
+        never stalls the loop and never keeps the process alive after a
+        stop; responses are written as they complete (atomic per line),
+        so pipelined stdin requests batch together.
         """
         loop = asyncio.get_running_loop()
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
+        lines: asyncio.Queue[str] = asyncio.Queue()
+        self._stdin_lines = lines
+
+        def pump() -> None:
+            while True:
+                try:
+                    line = stdin.readline()
+                except (OSError, ValueError):
+                    line = ""  # a closed stdin reads as EOF
+                try:
+                    loop.call_soon_threadsafe(lines.put_nowait, line)
+                except RuntimeError:
+                    return  # the loop is gone: the daemon already stopped
+                if not line:
+                    return
 
         async def serve_one(line: str) -> None:
             # Oversized stdin frames are length-checked post-read (text
-            # streams cannot be chunk-bounded the way sockets are).
-            if (
-                len(line.encode("utf-8", "surrogatepass"))
-                > self.max_line_bytes
-            ):
+            # streams cannot be chunk-bounded the way sockets are); the
+            # bound counts the frame, not its newline.
+            frame = line.rstrip("\n").encode("utf-8", "surrogatepass")
+            if len(frame) > self.max_line_bytes:
                 frames = [oversized_line_reply(self.max_line_bytes)]
             else:
                 frames = await self.handle_frames(line)
@@ -226,15 +272,26 @@ class AsyncServingDaemon:
                     stdout.write(json.dumps(out, sort_keys=True) + "\n")
                 stdout.flush()
 
-        while True:
-            line = await loop.run_in_executor(None, stdin.readline)
-            if not line:
+        threading.Thread(target=pump, name="serve-stdin", daemon=True).start()
+        while not self._stopping:
+            line = await lines.get()
+            if not line or self._stopping:
                 break
             task = asyncio.create_task(serve_one(line))
             tasks.add(task)
             task.add_done_callback(tasks.discard)
         if tasks:
             await asyncio.gather(*tasks)
+
+    def stop(self) -> None:
+        """End the serve loop as stdin EOF would (call on the loop).
+
+        Requests already read still get their replies; nothing new is
+        read.  :func:`run_async_daemon` calls this on SIGTERM/SIGINT.
+        """
+        self._stopping = True
+        if self._stdin_lines is not None:
+            self._stdin_lines.put_nowait("")
 
     # -- TCP -----------------------------------------------------------------
 
@@ -288,8 +345,8 @@ class AsyncServingDaemon:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.create_task(self._handle_connection(reader, writer))
-        self._connection_tasks.add(task)
-        task.add_done_callback(self._connection_tasks.discard)
+        self._connections[task] = (reader, writer)
+        task.add_done_callback(self._connections.pop)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -300,47 +357,48 @@ class AsyncServingDaemon:
         *,
         announce: IO[str] | None = None,
     ) -> int:
-        """Serve until stdin EOF; returns a process exit code.
+        """Serve until stdin EOF or :meth:`stop`; returns an exit code.
 
         ``announce`` (usually stderr) receives the startup banner: the
-        health URL, the TCP address when listening, then ``ready`` —
-        the same contract smoke tests key on.
+        health URL, the telemetry URL, the TCP address (each when
+        bound), then ``ready`` — the contract smoke tests key on.
         """
-        if self.health_port is not None and self._health_server is None:
-            self._health_server = start_health_server(
-                self.runtime, self.health_port
-            )
-            if announce is not None:
-                host, port = self.health_address
-                print(f"health: http://{host}:{port}", file=announce,
-                      flush=True)
-        if self.telemetry_port is not None and self.telemetry is not None:
-            # Telemetry is served *on the event loop* — the only thread
-            # that may read the batcher's loop-confined registry.
-            from repro.serving.telemetry import AsyncTelemetryServer
-
-            self._telemetry_server = AsyncTelemetryServer(
-                self.telemetry, host=self.host, port=self.telemetry_port
-            )
-            await self._telemetry_server.start()
-            if announce is not None:
-                host, port = self.telemetry_address
-                print(f"telemetry: http://{host}:{port}", file=announce,
-                      flush=True)
-        if self.port is not None:
-            self._tcp_server = await asyncio.start_server(
-                self._track_connection, self.host, self.port
-            )
-            if announce is not None:
-                host, port = self.tcp_address
-                print(f"tcp: {host}:{port}", file=announce, flush=True)
-        if announce is not None:
-            print("ready", file=announce, flush=True)
         try:
+            if self.health_port is not None:
+                self._health_server = await self._serve_http(
+                    self.health_port, "health", announce
+                )
+            if self.telemetry_port is not None:
+                self._telemetry_server = await self._serve_http(
+                    self.telemetry_port, "telemetry", announce
+                )
+            if self.port is not None:
+                self._tcp_server = await asyncio.start_server(
+                    self._track_connection, self.host, self.port
+                )
+                if announce is not None:
+                    host, port = self.tcp_address
+                    print(f"tcp: {host}:{port}", file=announce, flush=True)
+            if announce is not None:
+                print("ready", file=announce, flush=True)
             await self._stdin_loop(stdin, stdout)
         finally:
             await self.shutdown()
         return 0
+
+    async def _serve_http(
+        self, port: int, label: str, announce: IO[str] | None
+    ) -> AsyncTelemetryServer:
+        """Bind one probe/telemetry server *on the event loop* — the only
+        thread that may read the batcher's loop-confined registry."""
+        server = AsyncTelemetryServer(
+            self.telemetry, host=self.host, port=port
+        )
+        await server.start()
+        if announce is not None:
+            host, bound = server.address
+            print(f"{label}: http://{host}:{bound}", file=announce, flush=True)
+        return server
 
     async def shutdown(self) -> None:
         """Stop listeners, drain the batcher, shut the runtime down."""
@@ -348,24 +406,27 @@ class AsyncServingDaemon:
             await self._telemetry_server.close()
             self._telemetry_server = None
         if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-            self._tcp_server = None
-        if self._connection_tasks:
-            # Give in-flight connections a grace period, then cancel: a
-            # client that holds its socket open past stdin EOF must not
-            # pin the daemon alive.
-            done, pending = await asyncio.wait(
-                list(self._connection_tasks), timeout=5.0
+            self._tcp_server.close()  # accept no new connections
+        if self._connections:
+            # Read no further frames: an idle connection closes at once,
+            # one with requests in flight once they are answered.  A
+            # client that holds its socket open must not pin the daemon.
+            for reader, writer in list(self._connections.values()):
+                writer.transport.pause_reading()
+                reader.feed_eof()
+            _, pending = await asyncio.wait(
+                list(self._connections), timeout=5.0
             )
             for task in pending:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
+        if self._tcp_server is not None:
+            await self._tcp_server.wait_closed()
+            self._tcp_server = None
         await self.batcher.close()
         if self._health_server is not None:
-            self._health_server.shutdown()
-            self._health_server.server_close()
+            await self._health_server.close()
             self._health_server = None
         self.runtime.shutdown()
 
@@ -379,8 +440,23 @@ def _maybe_dict(line: str):
 
 
 def run_async_daemon(daemon: AsyncServingDaemon) -> int:
-    """Blocking entry point: drive ``daemon`` on a fresh event loop."""
-    return asyncio.run(daemon.run(sys.stdin, sys.stdout, announce=sys.stderr))
+    """Blocking entry point: drive ``daemon`` on a fresh event loop over
+    the process's stdio until stdin EOF, SIGTERM or SIGINT."""
+
+    async def main() -> int:
+        loop = asyncio.get_running_loop()
+        signals = (signal.SIGTERM, signal.SIGINT)
+        for signum in signals:
+            loop.add_signal_handler(signum, daemon.stop)
+        try:
+            return await daemon.run(
+                sys.stdin, sys.stdout, announce=sys.stderr
+            )
+        finally:
+            for signum in signals:
+                loop.remove_signal_handler(signum)
+
+    return asyncio.run(main())
 
 
 __all__ = [

@@ -1,7 +1,7 @@
 """Dynamic micro-batching: coalesce concurrent requests, dispatch once.
 
-:class:`MicroBatcher` sits between an asyncio front end (the async
-JSON-lines daemon, the open-loop workload runner) and a
+:class:`MicroBatcher` sits between an asyncio front end (the serving
+daemon, the open-loop workload runner) and a
 :class:`~repro.serving.runtime.ServingRuntime`.  Concurrently arriving
 requests are held briefly and dispatched together as **one**
 :meth:`~repro.serving.runtime.ServingRuntime.submit_batch` call,
@@ -25,7 +25,7 @@ Queue time is charged against the request: a request that spent ``w``
 seconds in the front end — the coalescing window *plus* any wait in the
 dispatch queue behind earlier batches — reaches the runtime with its
 ``deadline`` budget reduced by ``w``, so the client's end-to-end budget
-keeps meaning what it meant under the serial daemon: a request whose
+keeps meaning what it means without coalescing: a request whose
 budget was consumed by queueing times out instead of serving stale.
 
 Observability: each dispatch opens a ``batch.flush`` span (``size``,

@@ -1,10 +1,9 @@
-"""The versioned JSON-lines wire protocol shared by both daemons.
+"""The versioned JSON-lines wire protocol of the serving daemon.
 
-``serving/daemon.py`` (sync) and ``serving/async_daemon.py`` (asyncio)
-historically each carried their own copy of request parsing and error
-encoding; this module is the single codec both now import, so the two
-surfaces cannot drift — the same hostile frame yields the identical
-``error_kind`` reply on either daemon.
+The one codec :mod:`repro.serving.async_daemon` decodes requests and
+encodes replies with, on stdin and on every TCP connection alike — the
+same hostile frame yields the identical ``error_kind`` reply on either
+transport.
 
 Wire shape (one JSON object per line)::
 
@@ -27,7 +26,7 @@ Wire shape (one JSON object per line)::
 
 The codec is transport-free: it maps ``dict`` ↔
 :class:`~repro.api.QueryRequest`/:class:`~repro.api.QueryResponse` and
-leaves line framing, health probes, and concurrency to the daemons.
+leaves line framing, health probes, and concurrency to the daemon.
 """
 
 from __future__ import annotations
@@ -41,6 +40,12 @@ from repro.api import ClauseEdit, QueryRequest, QueryResponse
 #: shape changes incompatibly; requests pinned to another version are
 #: rejected with :data:`ERROR_UNSUPPORTED_PROTOCOL`.
 PROTOCOL_VERSION = 1
+
+#: Default bound on one JSON-lines request frame.  A frame beyond this
+#: is answered with a structured ``invalid_request`` error instead of
+#: being parsed (or worse, killing the daemon) — the connection stays
+#: alive.
+DEFAULT_MAX_LINE_BYTES = 1 << 20
 
 # -- the closed error catalog -------------------------------------------------
 
@@ -230,6 +235,7 @@ def error_kind_of(error: BaseException) -> str:
 
 __all__ = [
     "ALLOWED_REQUEST_KEYS",
+    "DEFAULT_MAX_LINE_BYTES",
     "ERROR_INTERNAL",
     "ERROR_INVALID_REQUEST",
     "ERROR_KINDS",

@@ -11,12 +11,11 @@ scrapeable live:
   loop-confined registry) into one Prometheus text page, and exposes the
   runtime's ``statusz()`` operator snapshot;
 - :class:`AsyncTelemetryServer` — a minimal asyncio HTTP/1.0 GET
-  handler serving the plane **on the event loop**.  This is deliberate:
-  the batcher's registry is confined to the loop thread (the repo-wide
-  lock-free registry discipline), so the only race-free place to read
-  it is the loop itself.  The threaded daemon reuses its stdlib probe
-  server instead (see :mod:`repro.serving.daemon`), where every
-  registry involved is either lock-guarded or snapshot-copied.
+  handler serving the plane and the ``/healthz``/``/readyz`` probes
+  **on the event loop**.  This is deliberate: the batcher's registry is
+  confined to the loop thread (the repo-wide lock-free registry
+  discipline), so the only race-free place to read it is the loop
+  itself.  The daemon binds it on both its probe and telemetry ports.
 
 Rendering is pull-based and allocation-light: a scrape snapshots the
 registries (retrying if an instrument registers mid-copy) and renders;
@@ -40,7 +39,7 @@ class TelemetryPlane:
     """Render source for the live telemetry endpoints.
 
     ``registries`` are *additional* registries to merge into the scrape
-    beyond the runtime's own (e.g. the async front end's batcher
+    beyond the runtime's own (e.g. the daemon's micro-batcher
     registry); duplicates are merged once.
     """
 
@@ -81,8 +80,6 @@ def telemetry_response(
 
     Returns ``(status, content_type, body)`` for the telemetry routes,
     ``None`` for paths the caller should handle (or 404) itself.
-    Shared by the threaded handler and the asyncio server so both
-    daemons serve byte-identical pages.
     """
     if path == "/metrics":
         return (
@@ -169,7 +166,8 @@ class AsyncTelemetryServer:
                 return
             await self._respond(
                 writer, 404, "text/plain",
-                b"unknown path (try /metrics or /statusz)\n",
+                b"unknown path (try /healthz, /readyz, /metrics or "
+                b"/statusz)\n",
             )
         except (ConnectionError, asyncio.IncompleteReadError):
             pass

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.dataset.datagen import QueryGenerator
+from repro.execution import SQLiteBackend
 from repro.grammar.categorizer import LiteralCategory
 from repro.sqlengine.executor import execute
 from repro.sqlengine.parser import parse_select
@@ -35,6 +36,20 @@ class TestGeneration:
         recs, catalog = records
         for record in recs:
             execute(parse_select(record.sql), catalog)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="QueryGenerator emits bare column names that are ambiguous "
+               "across the FROM tables (e.g. SELECT MIN ( EmployeeNumber ) "
+               "FROM Salaries , Titles); the in-house executor resolves "
+               "them permissively, SQLite rejects 7 of these 60",
+    )
+    def test_all_executable_on_sqlite(self, records):
+        recs, catalog = records
+        with SQLiteBackend() as backend:
+            backend.load_catalog(catalog)
+            for record in recs:
+                backend.execute(record.sql)
 
     def test_structures_match_sql(self, records):
         recs, _ = records

@@ -20,6 +20,8 @@ from repro.core import SpeakQLArtifacts, SpeakQLService
 from repro.serving import AsyncServingDaemon, ServingRuntime
 from repro.serving.async_daemon import read_bounded_lines
 
+from .daemon_harness import serve_while
+
 
 @pytest.fixture()
 def fresh_runtime(request):
@@ -181,42 +183,45 @@ class TestStdinRunLoop:
         stdin = io.StringIO("")
         stdout = io.StringIO()
         announce = io.StringIO()
-        daemon = AsyncServingDaemon(fresh_runtime, health_port=0, port=0)
+        daemon = AsyncServingDaemon(
+            fresh_runtime, health_port=0, telemetry_port=0, port=0
+        )
         assert asyncio.run(
             daemon.run(stdin, stdout, announce=announce)
         ) == 0
         lines = announce.getvalue().splitlines()
         assert lines[0].startswith("health: http://")
-        assert lines[1].startswith("tcp: ")
-        assert lines[2] == "ready"
+        assert lines[1].startswith("telemetry: http://")
+        assert lines[2].startswith("tcp: ")
+        assert lines[3] == "ready"
+
+    def test_stop_ends_the_loop_with_stdin_open(self, fresh_runtime):
+        read_fd, write_fd = os.pipe()
+        stdin = os.fdopen(read_fd, "r")
+        daemon = AsyncServingDaemon(fresh_runtime)
+
+        async def drive():
+            run_task = asyncio.create_task(daemon.run(stdin, io.StringIO()))
+            await asyncio.sleep(0.05)  # the stdin reader is now blocked
+            daemon.stop()
+            return await asyncio.wait_for(run_task, 10.0)
+
+        try:
+            assert asyncio.run(drive()) == 0
+        finally:
+            # EOF first: closing a file another thread is blocked reading
+            # would wait on that read.
+            os.close(write_fd)
+            stdin.close()
 
 
 class TestTcpServing:
     def _run_with_tcp(self, runtime, scenario, **daemon_kwargs):
         """Run the daemon with a TCP listener and a held-open stdin,
         drive ``scenario(daemon)``, then EOF stdin for a clean exit."""
-        read_fd, write_fd = os.pipe()
-        stdin = os.fdopen(read_fd, "r")
-        stdout = io.StringIO()
-        daemon = AsyncServingDaemon(runtime, port=0, **daemon_kwargs)
-
-        async def drive():
-            run_task = asyncio.create_task(daemon.run(stdin, stdout))
-            try:
-                while daemon.tcp_address is None:
-                    if run_task.done():
-                        run_task.result()  # surface startup errors
-                    await asyncio.sleep(0.01)
-                result = await asyncio.wait_for(scenario(daemon), 30.0)
-            finally:
-                os.close(write_fd)  # stdin EOF ends the daemon
-            code = await asyncio.wait_for(run_task, 30.0)
-            return code, result
-
-        try:
-            return asyncio.run(drive())
-        finally:
-            stdin.close()
+        return serve_while(
+            AsyncServingDaemon(runtime, port=0, **daemon_kwargs), scenario
+        )
 
     @staticmethod
     async def _request(reader, writer, payload: dict) -> dict:

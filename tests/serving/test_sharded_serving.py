@@ -9,9 +9,7 @@ EOF shutdown leaks neither processes nor shared memory.
 
 from __future__ import annotations
 
-import io
 import json
-import urllib.request
 
 import pytest
 
@@ -19,8 +17,9 @@ from repro.api import QueryRequest
 from repro.core import SpeakQLArtifacts, SpeakQLService
 from repro.core.pipeline import SpeakQLConfig
 from repro.errors import ShardPoolError
-from repro.serving import ServingRuntime
-from repro.serving.daemon import ServingDaemon
+from repro.serving import AsyncServingDaemon, ServingRuntime
+
+from .daemon_harness import fetch, serve_stdin, serve_while
 
 TRAINING = [
     "SELECT FirstName FROM Employees",
@@ -154,29 +153,25 @@ class TestHealthAndReadiness:
     def test_readyz_flips_when_pool_dies(self, request, artifacts):
         with make_sharded(request, artifacts) as service:
             runtime = ServingRuntime(service)
-            daemon = ServingDaemon(runtime, health_port=0)
-            daemon.start_health_server()
-            try:
-                host, port = daemon.health_address
 
-                def probe(path: str):
-                    url = f"http://{host}:{port}{path}"
-                    try:
-                        with urllib.request.urlopen(url) as response:
-                            return response.status, json.load(response)
-                    except urllib.error.HTTPError as error:
-                        return error.code, json.load(error)
-
-                status, body = probe("/readyz")
-                assert status == 200 and body["shard_pool_ok"] is True
+            async def scenario(daemon):
+                address = daemon.health_address
+                before = await fetch(address, "/readyz")
                 service.search_executor.stop()
-                status, body = probe("/readyz")
-                assert status == 503 and body["shard_pool_ok"] is False
-                # Liveness keeps answering 200 regardless.
-                status, _ = probe("/healthz")
-                assert status == 200
-            finally:
-                daemon.stop_health_server()
+                return before, await fetch(address, "/readyz"), (
+                    await fetch(address, "/healthz")
+                )
+
+            code, (before, after, health) = serve_while(
+                AsyncServingDaemon(runtime, health_port=0), scenario
+            )
+            assert code == 0
+            status, _, body = before
+            assert status == 200 and json.loads(body)["shard_pool_ok"] is True
+            status, _, body = after
+            assert status == 503 and json.loads(body)["shard_pool_ok"] is False
+            # Liveness keeps answering 200 regardless.
+            assert health[0] == 200
 
 
 class TestDaemonShutdown:
@@ -185,13 +180,11 @@ class TestDaemonShutdown:
             runtime = ServingRuntime(service)
             executor = service.search_executor
             procs = [p for p in executor._procs if p is not None]
-            stdin = io.StringIO(
-                json.dumps({"id": 1, "text": "select first name"}) + "\n"
+            code, [reply] = serve_stdin(
+                AsyncServingDaemon(runtime),
+                json.dumps({"id": 1, "text": "select first name"}) + "\n",
             )
-            stdout = io.StringIO()
-            code = ServingDaemon(runtime).run(stdin, stdout)
             assert code == 0
-            reply = json.loads(stdout.getvalue().splitlines()[0])
             assert reply["id"] == 1 and reply["outcome"] in (
                 "served",
                 "degraded",

@@ -1,7 +1,7 @@
-"""The live telemetry plane: /metrics + /statusz on both daemons,
+"""The live telemetry plane: /metrics + /statusz on the daemon's ports,
 deterministic statusz percentiles under a fake clock, trace sampling
 into the rotating sink, wire trace-id generation/echo, cross-process
-shard span correlation, and flush-on-SIGTERM for the CLI daemon.
+shard span correlation, and prompt flush-on-signal for the CLI daemon.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -23,14 +23,15 @@ from repro.observability import RotatingTraceSink, Tracer
 from repro.observability import names as obs_names
 from repro.observability.export import read_trace_jsonl
 from repro.observability.metrics import Histogram, MetricsRegistry
-from repro.serving import ServingRuntime, ensure_trace_id
-from repro.serving.daemon import ServingDaemon
+from repro.serving import AsyncServingDaemon, ServingRuntime, ensure_trace_id
 from repro.serving.telemetry import (
     PROMETHEUS_CONTENT_TYPE,
     AsyncTelemetryServer,
     TelemetryPlane,
     telemetry_response,
 )
+
+from .daemon_harness import fetch, handle_frames, serve_while
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -153,70 +154,50 @@ class TestStatusz:
         json.dumps(runtime.statusz())
 
 
-class TestThreadedEndpoints:
+class TestProbePort:
     def test_probe_port_serves_metrics_and_statusz(
         self, request, artifacts
     ):
         runtime = make_runtime(request, artifacts)
-        daemon = ServingDaemon(
-            runtime, health_port=0, telemetry=TelemetryPlane(runtime)
-        )
-        daemon.start_health_server()
-        try:
+
+        async def scenario(daemon):
             runtime.submit(QueryRequest(text="select salary from salaries"))
-            host, port = daemon.health_address
-            base = f"http://{host}:{port}"
-            with urllib.request.urlopen(base + "/metrics", timeout=10) as r:
-                assert r.status == 200
-                assert r.headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE
-                page = r.read().decode("utf-8")
-            assert obs_names.SERVING_OUTCOMES_TOTAL in page
-            with urllib.request.urlopen(base + "/statusz", timeout=10) as r:
-                assert r.status == 200
-                statusz = json.loads(r.read())
-            assert statusz["outcomes"]["served"] == 1
-            with urllib.request.urlopen(base + "/healthz", timeout=10) as r:
-                assert r.status == 200  # probes still answer
-        finally:
-            daemon.stop_health_server()
+            address = daemon.health_address
+            return {path: await fetch(address, path)
+                    for path in ("/metrics", "/statusz", "/healthz",
+                                 "/readyz")}
+
+        daemon = AsyncServingDaemon(
+            runtime, health_port=0, metrics=MetricsRegistry()
+        )
+        code, seen = serve_while(daemon, scenario)
+        assert code == 0
+        status, content_type, body = seen["/metrics"]
+        assert status == 200 and content_type == PROMETHEUS_CONTENT_TYPE
+        assert obs_names.SERVING_OUTCOMES_TOTAL in body.decode("utf-8")
+        status, _, body = seen["/statusz"]
+        assert status == 200
+        assert json.loads(body)["outcomes"]["served"] == 1
+        assert seen["/healthz"][0] == 200  # probes still answer
+        assert seen["/readyz"][0] == 200
 
     def test_dedicated_telemetry_port_binds_separately(
         self, request, artifacts
     ):
         runtime = make_runtime(request, artifacts)
-        daemon = ServingDaemon(
-            runtime,
-            health_port=0,
-            telemetry_port=0,
-            telemetry=TelemetryPlane(runtime),
-        )
-        daemon.start_health_server()
-        daemon.start_telemetry_server()
-        try:
-            assert daemon.telemetry_address is not None
-            assert daemon.telemetry_address != daemon.health_address
-            host, port = daemon.telemetry_address
-            with urllib.request.urlopen(
-                f"http://{host}:{port}/statusz", timeout=10
-            ) as r:
-                assert r.status == 200
-        finally:
-            daemon.stop_health_server()
-        assert daemon.telemetry_address is None
 
-    def test_without_a_plane_the_routes_404(self, request, artifacts):
-        runtime = make_runtime(request, artifacts)
-        daemon = ServingDaemon(runtime, health_port=0)
-        daemon.start_health_server()
-        try:
-            host, port = daemon.health_address
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(
-                    f"http://{host}:{port}/metrics", timeout=10
-                )
-            assert excinfo.value.code == 404
-        finally:
-            daemon.stop_health_server()
+        async def scenario(daemon):
+            address = daemon.telemetry_address
+            return address, daemon.health_address, (
+                await fetch(address, "/statusz")
+            )
+
+        daemon = AsyncServingDaemon(runtime, health_port=0, telemetry_port=0)
+        code, (telemetry, health, statusz) = serve_while(daemon, scenario)
+        assert code == 0
+        assert telemetry is not None and telemetry != health
+        assert statusz[0] == 200
+        assert daemon.telemetry_address is None
 
 
 class TestAsyncEndpoints:
@@ -339,22 +320,20 @@ class TestWireTraceIds:
         self, request, artifacts
     ):
         runtime = make_runtime(request, artifacts)
-        daemon = ServingDaemon(runtime)
-        generated = daemon.handle_line(
-            json.dumps({"id": 1, "text": "select salary from salaries"})
+        [generated], [echoed] = handle_frames(
+            AsyncServingDaemon(runtime, max_wait_ms=1.0),
+            json.dumps({"id": 1, "text": "select salary from salaries"}),
+            json.dumps({"id": 2, "text": "select salary from salaries",
+                        "trace_id": "client-1"}),
         )
         assert generated["trace_id"]
-        echoed = daemon.handle_line(
-            json.dumps({"id": 2, "text": "select salary from salaries",
-                        "trace_id": "client-1"})
-        )
         assert echoed["trace_id"] == "client-1"
 
     def test_wire_rejects_non_string_trace_id(self, request, artifacts):
         runtime = make_runtime(request, artifacts)
-        daemon = ServingDaemon(runtime)
-        out = daemon.handle_line(
-            json.dumps({"id": 3, "text": "x", "trace_id": 7})
+        [[out]] = handle_frames(
+            AsyncServingDaemon(runtime, max_wait_ms=1.0),
+            json.dumps({"id": 3, "text": "x", "trace_id": 7}),
         )
         assert out["error_kind"] == "invalid_request"
 
@@ -448,3 +427,44 @@ class TestSignalFlush:
         assert any(
             s["attributes"].get("trace_id") == "pre-kill" for s in spans
         )
+
+    def test_sigterm_with_an_idle_tcp_client_exits_promptly(self):
+        """An open TCP connection must not hold a stopping daemon up."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--schema", "employees", "--port", "0"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+        )
+        client = None
+        try:
+            banner = proc.stderr.readline().strip()
+            assert banner.startswith("tcp: ")
+            host, _, port = banner.split(" ", 1)[1].rpartition(":")
+            assert proc.stderr.readline().strip() == "ready"
+            client = socket.create_connection((host, int(port)), timeout=10)
+            client.sendall(
+                b'{"id": 1, "text": "select salary from salaries"}\n'
+            )
+            with client.makefile("r") as replies:
+                reply = json.loads(replies.readline())
+            assert reply["outcome"] == "served"
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=10)
+        finally:
+            if client is not None:
+                client.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdin.close()
+            proc.stderr.close()
+        assert code == 0

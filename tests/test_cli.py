@@ -14,6 +14,16 @@ class TestParser:
         args = build_parser().parse_args(["speak", "SELECT a FROM t"])
         assert args.sql == "SELECT a FROM t"
 
+    def test_serve_still_accepts_deprecated_async(self):
+        # `--async` selected a daemon that no longer has an alternative;
+        # it must keep parsing (scripts pass it) and change nothing.
+        parser = build_parser()
+        legacy = vars(parser.parse_args(["serve", "--async", "--port", "0"]))
+        current = vars(parser.parse_args(["serve", "--port", "0"]))
+        assert legacy.pop("use_async") is True
+        assert current.pop("use_async") is False
+        assert legacy == current
+
 
 class TestCommands:
     def test_speak(self, capsys):

@@ -64,15 +64,16 @@ class TestEntryFromReport:
             bench_history.entry_from_report({"benchmark": "x"}, "bad.json")
 
 
-def _serving_report(median_ms=140.0, queries=40, deadline_ms=50.0):
+def _serving_report(median_ms=140.0, queries=40, deadline_ms=50.0,
+                    timeouts=1):
     return {
         "benchmark": "serving_throughput",
         "queries": queries,
         "workers": 2,
         "deadline_ms": deadline_ms,
-        "outcomes": {"served": queries - 1, "timeout": 1},
-        "answered": queries - 1,
-        "answered_fraction": (queries - 1) / queries,
+        "outcomes": {"served": queries - timeouts, "timeout": timeouts},
+        "answered": queries - timeouts,
+        "answered_fraction": (queries - timeouts) / queries,
         "throughput_qps": 11.5,
         "median_ms": median_ms,
         "p95_ms": median_ms * 2,
@@ -110,7 +111,7 @@ class TestServingEntry:
 
     def test_main_appends_serving_entry(self, tmp_path):
         report_path = tmp_path / "serving.json"
-        report_path.write_text(json.dumps(_serving_report()))
+        report_path.write_text(json.dumps(_serving_report(timeouts=0)))
         history_path = tmp_path / "history.jsonl"
         code = bench_history.main(
             [str(report_path), "--history", str(history_path)]
@@ -255,6 +256,38 @@ class TestOpenLoopEntries:
         assert code == 0
         entries = bench_history.read_history(history_path)
         assert [e["key"][-2:] for e in entries] == ["b1", "b8"]
+
+
+def _timed_out_open_loop_report():
+    report = _open_loop_report()
+    report["rows"][1].update(
+        outcomes={"timeout": 64}, answered=0, answered_fraction=0.0
+    )
+    return report
+
+
+class TestAnsweredGate:
+    @pytest.mark.parametrize(
+        "make_report",
+        [_serving_report, _timed_out_open_loop_report],
+        ids=["39-of-40-answered", "open-loop-row-all-timeouts"],
+    )
+    def test_main_refuses_a_run_that_did_not_answer(
+        self, tmp_path, capsys, make_report
+    ):
+        report = make_report()
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report))
+        history_path = tmp_path / "history.jsonl"
+        code = bench_history.main(
+            [str(report_path), "--history", str(history_path)]
+        )
+        assert code == 1
+        assert not history_path.exists()  # nothing recorded
+        entries = bench_history.entries_from_report(report, "r")
+        refused = [e["key"] for e in entries if e["answered_fraction"] < 0.99]
+        err = capsys.readouterr().err
+        assert refused and all(f"REFUSED: {key}" in err for key in refused)
 
 
 class TestMachineStamp:

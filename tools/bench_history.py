@@ -29,8 +29,15 @@ count: a run on a 1-core CI box is never judged against a 16-core
 workstation's trajectory.  Entries predating the stamp compare against
 anything (there is nothing to disagree with).
 
+A run that did not answer its load is refused, not recorded: when any
+entry of a report has ``answered_fraction`` below 0.99, nothing is
+appended and the tool exits 1 naming the key.  Its latency would
+measure how fast the daemon returns timeouts or sheds, not how fast it
+serves.
+
 Exit status: 0 (appended, no regression or first run for the key),
-1 (appended, regression beyond the threshold), 2 (unusable input).
+1 (appended, regression beyond the threshold; or refused, too few
+requests answered), 2 (unusable input).
 Run from anywhere::
 
     python tools/bench_history.py BENCH_structure_search.json
@@ -53,6 +60,9 @@ DEFAULT_HISTORY = REPO_ROOT / "BENCH_history.jsonl"
 
 #: Allowed fractional slowdown of the primary median before exit 1.
 DEFAULT_MAX_REGRESSION = 0.25
+
+#: Smallest answered fraction (served + degraded) a run may record.
+MIN_ANSWERED_FRACTION = 0.99
 
 
 def machine_stamp() -> dict:
@@ -299,6 +309,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unusable bench report {args.report}: {error!r}",
               file=sys.stderr)
         return 2
+
+    unanswered = [
+        entry for entry in entries
+        if entry.get("answered_fraction", 1.0) < MIN_ANSWERED_FRACTION
+    ]
+    for entry in unanswered:
+        print(
+            f"REFUSED: {entry['key']}: answered_fraction "
+            f"{entry['answered_fraction']:.3f} < {MIN_ANSWERED_FRACTION}; "
+            "re-run at a rate and deadline the system can answer",
+            file=sys.stderr,
+        )
+    if unanswered:
+        return 1
 
     history_path = Path(args.history)
     history = read_history(history_path)

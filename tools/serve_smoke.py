@@ -13,28 +13,29 @@ dictation, and a dictation with a 1 ms deadline — and asserts:
 - a two-turn correction session round-trips: a cold dictation opens the
   session, a WHERE re-dictation comes back with non-empty
   ``reused_spans``, and its final SQL matches a sessionless cold
-  recompute of the corrected text (both daemons);
+  recompute of the corrected text (on every mode);
 - ``GET /healthz`` answers 200 with the matching outcome counts and
   ``GET /readyz`` reports readiness;
-- ``GET /metrics`` serves Prometheus text naming the serving counters
-  and the rolling end-to-end window (plus the per-shard kernel counters
-  with ``shard=`` labels when ``--shards`` is on), and ``GET /statusz``
+- ``GET /metrics`` on the same probe port serves Prometheus text naming
+  the serving counters, the micro-batcher's flush counters and the
+  rolling end-to-end window (plus the per-shard kernel counters with
+  ``shard=`` labels when ``--shards`` is on), and ``GET /statusz``
   reports the degradation ladder, breaker states, queue occupancy, and
   rolling latency percentiles;
-- the daemon exits cleanly on stdin EOF.
+- SIGTERM with stdin still open stops the daemon promptly: it exits 0
+  and still writes ``--metrics-out``.
 
 ``--shards K`` runs the daemon with a sharded search pool; the same
 assertions apply (sharding is bit-identical and invisible on the wire),
-plus ``/healthz`` must report K shards with a live worker in each and
-the daemon must leave no worker processes behind after EOF.
+plus ``/healthz`` must report K shards with a live worker in each.
 
-``--async-batch`` smokes the micro-batching asyncio front end instead
-(``repro serve --async --port 0``): two concurrent TCP clients fire
-requests simultaneously (coalesced into shared batches), a 1 ms-deadline
-request still times out, a deliberately oversized (> 1 MiB) line gets a
-structured ``invalid_request`` error with the connection surviving to
-serve another request, and stdin EOF still shuts everything down
-cleanly.
+``--async-batch`` drives the daemon over TCP instead (``repro serve
+--port 0``): two concurrent TCP clients fire requests simultaneously
+(coalesced into shared batches), a 1 ms-deadline request still times
+out, a deliberately oversized (> 1 MiB) line gets a structured
+``invalid_request`` error with the connection surviving to serve
+another request, the dedicated ``--telemetry-port`` answers, and stdin
+EOF shuts everything down cleanly.
 
 Run from the repository root::
 
@@ -48,9 +49,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
+import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import urllib.request
 from pathlib import Path
@@ -161,7 +165,7 @@ def check_telemetry(base_url: str, *, shards: int = 0,
 
 
 class _TcpClient:
-    """One JSON-lines TCP connection to the async daemon."""
+    """One JSON-lines TCP connection to the daemon."""
 
     def __init__(self, address: tuple[str, int]) -> None:
         self.sock = socket.create_connection(address, timeout=60)
@@ -176,7 +180,7 @@ class _TcpClient:
     def read(self) -> dict:
         line = self.reader.readline()
         if not line:
-            fail("async daemon closed a TCP connection mid-conversation")
+            fail("daemon closed a TCP connection mid-conversation")
         return json.loads(line)
 
     def close(self) -> None:
@@ -184,10 +188,10 @@ class _TcpClient:
         self.sock.close()
 
 
-def run_async_smoke(env: dict) -> int:
+def run_tcp_smoke(env: dict) -> int:
     command = [sys.executable, "-m", "repro", "serve",
                "--schema", "employees", "--health-port", "0",
-               "--async", "--port", "0", "--telemetry-port", "0",
+               "--port", "0", "--telemetry-port", "0",
                "--batch-size", "4", "--batch-wait-ms", "5"]
     proc = subprocess.Popen(
         command,
@@ -218,7 +222,7 @@ def run_async_smoke(env: dict) -> int:
             fail(f"expected the tcp address next, got {tcp_line!r}")
         host, _, port = tcp_line.split(" ", 1)[1].rpartition(":")
         if proc.stderr.readline().strip() != "ready":
-            fail("async daemon never reported ready")
+            fail("daemon never reported ready")
         address = (host, int(port))
 
         # Two clients fire concurrently so their requests coalesce into
@@ -307,7 +311,7 @@ def run_async_smoke(env: dict) -> int:
         proc.stdin.close()
         code = proc.wait(timeout=30)
         if code != 0:
-            fail(f"async daemon exited {code} on stdin EOF")
+            fail(f"daemon exited {code} on stdin EOF")
     finally:
         watchdog.cancel()
         for client in clients:
@@ -319,7 +323,7 @@ def run_async_smoke(env: dict) -> int:
             proc.kill()
             proc.wait()
     print(
-        "serve smoke OK (async): 8 served over 2 concurrent TCP clients "
+        "serve smoke OK (tcp): 8 served over 2 concurrent TCP clients "
         "(incl. a two-turn correction session), 1 timeout, oversized line "
         "rejected without dropping the connection"
     )
@@ -331,17 +335,19 @@ def main() -> int:
     parser.add_argument("--shards", type=int, default=0,
                         help="run the daemon with a K-worker shard pool")
     parser.add_argument("--async-batch", action="store_true",
-                        help="smoke the micro-batching asyncio front end "
-                             "over concurrent TCP clients instead")
+                        help="drive the daemon over concurrent TCP "
+                             "clients instead of stdin")
     args = parser.parse_args()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     if args.async_batch:
-        return run_async_smoke(env)
+        return run_tcp_smoke(env)
+    metrics_out = Path(tempfile.mkdtemp(prefix="serve-smoke-")) / "m.prom"
     command = [sys.executable, "-m", "repro", "serve",
-               "--schema", "employees", "--health-port", "0"]
+               "--schema", "employees", "--health-port", "0",
+               "--metrics-out", str(metrics_out)]
     if args.shards:
         command += ["--shards", str(args.shards)]
     proc = subprocess.Popen(
@@ -387,7 +393,7 @@ def main() -> int:
             if not response.get("trace_id"):
                 fail(f"reply carries no trace_id: {response}")
 
-        # The same two-turn session exchange the async smoke drives.
+        # The same two-turn session exchange the TCP smoke drives.
         def send(request: dict) -> None:
             proc.stdin.write(json.dumps(request) + "\n")
             proc.stdin.flush()
@@ -417,22 +423,29 @@ def main() -> int:
             if not health.get("shard_pool_ok"):
                 fail(f"shard pool not healthy: {shards}")
 
-        # The probe port doubles as the telemetry plane in serial mode.
-        check_telemetry(health_url, shards=args.shards)
+        # The probe port doubles as the telemetry plane.
+        check_telemetry(health_url, shards=args.shards, expect_batcher=True)
 
-        proc.stdin.close()
-        code = proc.wait(timeout=30)
+        # An orchestrator stop: SIGTERM while stdin is still open.
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=10)
         if code != 0:
-            fail(f"daemon exited {code} on stdin EOF")
+            fail(f"daemon exited {code} on SIGTERM")
+        if not metrics_out.is_file():
+            fail("SIGTERM stop did not write --metrics-out")
+        if "speakql_serving_requests_total" not in metrics_out.read_text():
+            fail("--metrics-out written on SIGTERM lacks the serving counters")
     finally:
         watchdog.cancel()
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        shutil.rmtree(metrics_out.parent, ignore_errors=True)
     suffix = f" ({args.shards} shards)" if args.shards else ""
     print(
         "serve smoke OK: 5 served (incl. a two-turn correction session), "
-        f"1 timeout, health and readiness probes answered{suffix}"
+        "1 timeout, health and readiness probes answered, SIGTERM stop "
+        f"wrote metrics{suffix}"
     )
     return 0
 
