@@ -7,6 +7,11 @@ lexicographically.  Voting — rather than a single all-pairs minimum — is
 what makes split tokens robust: Appendix E.2's FROMDATE/TODATE examples
 show the all-pairs minimum picking the wrong literal while voting picks
 the right one (both are unit-tested).
+
+Distances come from :func:`repro.phonetics.levenshtein.char_edit_distance`
+(re-exported here), an exact bit-parallel kernel with a bounded memo, so
+the many re-scorings of one window across a query's alternatives cost a
+cache hit each.
 """
 
 from __future__ import annotations
@@ -14,27 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.literal.segmentation import Segment
+from repro.phonetics.levenshtein import char_edit_distance
 from repro.phonetics.phonetic_index import PhoneticEntry
-
-
-def char_edit_distance(a: str, b: str) -> int:
-    """Plain Levenshtein distance (insert/delete/substitute) on strings."""
-    n, m = len(a), len(b)
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        cur = [i]
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            if ai == b[j - 1]:
-                cur.append(prev[j - 1])
-            else:
-                cur.append(1 + min(prev[j - 1], prev[j], cur[j - 1]))
-        prev = cur
-    return prev[m]
 
 
 @dataclass(frozen=True)

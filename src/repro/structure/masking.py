@@ -19,6 +19,7 @@ from repro.grammar.vocabulary import (
     is_keyword,
     is_splchar,
 )
+from repro.phonetics.levenshtein import char_edit_distance
 
 
 #: Long, unambiguous spoken operator words matched fuzzily (ASR may
@@ -41,21 +42,7 @@ def _splchar_word_matches(token: str, word: str) -> bool:
 
 
 def _levenshtein_at_most(a: str, b: str, k: int) -> bool:
-    if abs(len(a) - len(b)) > k:
-        return False
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(
-                prev[j - 1]
-                if ca == cb
-                else 1 + min(prev[j - 1], prev[j], cur[j - 1])
-            )
-        if min(cur) > k:
-            return False
-        prev = cur
-    return prev[-1] <= k
+    return abs(len(a) - len(b)) <= k and char_edit_distance(a, b) <= k
 
 
 def handle_splchars(tokens: list[str]) -> list[str]:

@@ -8,6 +8,7 @@ from repro.asr.language_model import LanguageModel
 from repro.core import SpeakQL, SpeakQLConfig
 from repro.grammar.generator import StructureGenerator
 from repro.metrics import score_query
+from repro.observability.trace import Tracer
 from repro.structure.indexer import StructureIndex
 
 
@@ -56,6 +57,28 @@ class TestQueryFromSpeech:
         b = pipeline.query_from_speech("SELECT * FROM Salaries", seed=9)
         assert a.sql == b.sql
         assert a.queries == b.queries
+
+
+class TestRunnerUpTracing:
+    def test_runner_up_decodes_land_in_the_query_trace(self, pipeline, monkeypatch):
+        sql = "SELECT salary FROM Salaries WHERE salary > 70000"
+        plain = pipeline.query_from_speech(sql, seed=5)
+        tracer = Tracer()
+        runner_up_spans: list[str] = []
+        original = SpeakQL._structure_alternatives
+
+        def spy(self, *args, **kwargs):
+            before = len(tracer.spans)
+            out = original(self, *args, **kwargs)
+            runner_up_spans.extend(s.name for s in tracer.spans[before:])
+            return out
+
+        monkeypatch.setattr(SpeakQL, "_structure_alternatives", spy)
+        traced = pipeline.query_from_speech(sql, seed=5, tracer=tracer)
+        assert "literal.determine" in runner_up_spans
+        assert "stage.structure_search" in runner_up_spans
+        assert traced.queries == plain.queries
+        assert traced.literal_result == plain.literal_result
 
 
 class TestCorrectTranscription:

@@ -258,6 +258,46 @@ class TestOpenLoopEntries:
         assert [e["key"][-2:] for e in entries] == ["b1", "b8"]
 
 
+def _literal_voting_report(queries=8, train=30):
+    rows = [
+        {"side": side, "median_ms": ms, "iqr_ms": 0.5, "repeat_ms": [ms],
+         "query_p50_ms": ms, "query_p95_ms": 2 * ms,
+         "speedup_vs_oracle": 80.0 / ms}
+        for side, ms in (("oracle", 80.0), ("kernel", 8.0),
+                         ("kernel_warm", 6.0))
+    ]
+    return {"benchmark": "literal_voting", "queries": queries,
+            "repeats": 3, "train": train, "speedup": 10.0, "rows": rows}
+
+
+class TestLiteralVotingEntries:
+    def test_one_entry_per_side_with_distinct_keys(self):
+        entries = bench_history.entries_from_report(
+            _literal_voting_report(), "lv.json"
+        )
+        assert [e["key"] for e in entries] == [
+            "literal_voting@q8t30-oracle",
+            "literal_voting@q8t30-kernel",
+            "literal_voting@q8t30-kernel_warm",
+        ]
+        assert [e["median_ms"] for e in entries] == [80.0, 8.0, 6.0]
+        assert entries[1]["speedup_vs_oracle"] == 10.0
+
+    def test_rejected_by_single_entry_path(self):
+        with pytest.raises(KeyError, match="entries_from_report"):
+            bench_history.entry_from_report(_literal_voting_report(), "s")
+
+    def test_main_appends_every_side(self, tmp_path):
+        report_path = tmp_path / "lv.json"
+        report_path.write_text(json.dumps(_literal_voting_report()))
+        history_path = tmp_path / "history.jsonl"
+        code = bench_history.main(
+            [str(report_path), "--history", str(history_path)]
+        )
+        assert code == 0
+        assert len(bench_history.read_history(history_path)) == 3
+
+
 def _timed_out_open_loop_report():
     report = _open_loop_report()
     report["rows"][1].update(
@@ -454,6 +494,9 @@ def test_committed_history_is_valid_jsonl():
             assert "overhead_vs_off" in entry
             assert f"c{entry['config']}" in entry["key"]
             assert "@q32" in entry["key"]
+        elif entry["benchmark"] == "literal_voting":
+            assert "speedup_vs_oracle" in entry
+            assert entry["key"].endswith(f"-{entry['side']}")
         else:
             assert entry["benchmark"] == "serving_shard_scaling"
             assert "throughput_qps" in entry

@@ -21,7 +21,10 @@ the live telemetry plane) one entry per observability configuration,
 keyed ``telemetry_overhead@q32cmetrics`` — each configuration tracks
 its own trajectory.  A ``session`` report (``bench_session.py``)
 appends one entry per phase — cold full decode vs warm correction
-turn — keyed ``session@q32m18pcold`` / ``session@q32m18pwarm``.
+turn — keyed ``session@q32m18pcold`` / ``session@q32m18pwarm``.  A
+``literal_voting`` report (``bench_literal_voting.py``) appends one
+entry per replay side — DP oracle, memoized kernel, warm kernel —
+keyed ``literal_voting@q80t750-oracle`` etc.
 
 Every entry is stamped with the machine's core count (``nproc``), and
 the regression gate only compares entries recorded on the same core
@@ -80,7 +83,8 @@ def entry_from_report(report: dict, source: str) -> dict:
     """
     if report.get("benchmark") in ("serving_shard_scaling",
                                    "serving_open_loop",
-                                   "telemetry_overhead"):
+                                   "telemetry_overhead",
+                                   "literal_voting"):
         raise KeyError(
             f"{report['benchmark']} reports expand to one entry per row; "
             "use entries_from_report"
@@ -198,6 +202,28 @@ def entries_from_report(report: dict, source: str) -> list[dict]:
                 "p95_ms": row["p95_ms"],
                 "speedup_p50": report["speedup_p50"],
                 "reused_span_fraction": row.get("reused_span_fraction"),
+                "source": source,
+                "recorded_at": recorded_at,
+                **stamp,
+            }
+            for row in report["rows"]
+        ]
+    if benchmark == "literal_voting":
+        # One entry per replay side, so the oracle's and the kernel's
+        # per-query times each track their own trajectory.
+        base_key = f"{benchmark}@q{report['queries']}t{report['train']}"
+        return [
+            {
+                "key": f"{base_key}-{row['side']}",
+                "benchmark": benchmark,
+                "queries": report["queries"],
+                "train": report["train"],
+                "repeats": report["repeats"],
+                "side": row["side"],
+                "median_ms": row["median_ms"],
+                "iqr_ms": row["iqr_ms"],
+                "p95_ms": row["query_p95_ms"],
+                "speedup_vs_oracle": row["speedup_vs_oracle"],
                 "source": source,
                 "recorded_at": recorded_at,
                 **stamp,
@@ -338,6 +364,8 @@ def main(argv: list[str] | None = None) -> int:
             extra = f"speedup {entry['median_speedup']:.2f}x"
         elif "throughput_qps" in entry:
             extra = f"throughput {entry['throughput_qps']:.1f} q/s"
+        elif "speedup_vs_oracle" in entry:
+            extra = f"speedup {entry['speedup_vs_oracle']:.1f}x vs oracle"
         else:
             extra = f"speedup {entry['speedup_p50']:.1f}x cold/warm"
         print(
