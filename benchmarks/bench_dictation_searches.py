@@ -1,0 +1,228 @@
+"""Dictation search benchmark: one structure search per distinct masked text.
+
+Dictates N seeded Employees test queries (n-best 5, runner-up
+structures included) through the library pipeline, in interleaved
+repeats, two ways:
+
+- ``cached`` — the production engine.  Its result cache keeps one entry
+  per masked string at the widest ``k`` searched, and the pipeline
+  searches the rank-0 text once at ``top_k`` for both its own
+  correction and the runner-up structures;
+- ``uncached`` — the same pipeline with ``cache_results=False`` (the
+  engine's oracle switch), so every search request runs the kernel.
+
+Every dictation's output (query list, structure, literal result) must be
+identical on both sides, and the cached side must never run more kernel
+searches in a dictation than the dictation has distinct masked texts;
+otherwise the run aborts.  Per side it reports kernel searches per
+dictation, structure-search milliseconds per dictation (time inside
+``StructureSearchEngine.search``, cache hits included) and end-to-end
+dictation latency p50/p95 over every sample, with the sample count,
+``nproc``, repeats and the spread (IQR) of the per-repeat medians.  Each
+repeat starts both sides from an empty result cache and literal memo;
+within a repeat the cache stays warm across dictations, as in a daemon.
+
+Run as a script::
+
+    PYTHONPATH=src python benchmarks/bench_dictation_searches.py \\
+        --queries 80 --repeats 5 --out BENCH_dictation_searches.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from repro.asr import make_custom_engine
+from repro.core import SpeakQL, SpeakQLArtifacts
+from repro.core.stages import QueryContext
+from repro.dataset import build_employees_catalog
+from repro.dataset.spoken import make_spoken_dataset
+from repro.phonetics.levenshtein import char_edit_distance
+
+SIDES = ("cached", "uncached")
+# As the repository benchmark's dictate workload: n-best 5 dictations of
+# the paper's Employees test split (dataset seed 8).
+NBEST = 5
+SPLIT_SEED = 8
+
+
+class SearchProbe:
+    """Counts kernel searches and times search calls of one pipeline."""
+
+    def __init__(self, speakql: SpeakQL) -> None:
+        self.kernel_searches = 0
+        self.search_seconds = 0.0
+        engine = speakql._searcher
+        search, uncached = engine.search, engine._search_uncached
+        clock = time.perf_counter
+
+        def timed_search(masked, k=1):
+            start = clock()
+            try:
+                return search(masked, k=k)
+            finally:
+                self.search_seconds += clock() - start
+
+        def counted_uncached(masked, k):
+            self.kernel_searches += 1
+            return uncached(masked, k)
+
+        engine.search = timed_search
+        engine._search_uncached = counted_uncached
+
+    def take(self) -> tuple[int, float]:
+        sample = (self.kernel_searches, self.search_seconds)
+        self.kernel_searches, self.search_seconds = 0, 0.0
+        return sample
+
+
+def build(args: argparse.Namespace):
+    catalog = build_employees_catalog()
+    engine = None
+    if args.train > 0:
+        training = make_spoken_dataset("train", catalog, args.train, seed=7)
+        engine = make_custom_engine([q.sql for q in training.queries])
+    artifacts = SpeakQLArtifacts.build(engine=engine)
+    pipelines = {side: SpeakQL(catalog, artifacts=artifacts) for side in SIDES}
+    pipelines["uncached"]._searcher.cache_results = False
+    dictations = make_spoken_dataset(
+        "test", catalog, args.queries, seed=SPLIT_SEED
+    ).queries
+    return pipelines, dictations
+
+
+def answer(output) -> tuple:
+    """The parts of a ``SpeakQLOutput`` both sides must agree on."""
+    return (tuple(output.queries), output.structure, output.literal_result)
+
+
+def distinct_masked(speakql: SpeakQL, output) -> int:
+    texts = (output.asr_text, *output.asr_alternatives)
+    return len({
+        speakql._mask_stage.run(text, QueryContext()).search_tokens
+        for text in texts
+    })
+
+
+def quartiles(samples: list[float]) -> tuple[float, float, float]:
+    if len(samples) < 2:
+        return samples[0], samples[0], samples[0]
+    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def run(args: argparse.Namespace) -> dict:
+    t0 = time.perf_counter()
+    pipelines, dictations = build(args)
+    setup_s = time.perf_counter() - t0
+    probes = {side: SearchProbe(pipelines[side]) for side in SIDES}
+    clock = time.perf_counter
+
+    latency_ms = {side: [] for side in SIDES}
+    repeat_p50_ms = {side: [] for side in SIDES}
+    searches = {side: [] for side in SIDES}
+    search_ms = {side: [] for side in SIDES}
+    distinct: list[int] = []
+    reference: list[tuple] | None = None
+    for repeat in range(args.repeats):
+        # Interleave, rotating the order so drift hits both sides.
+        shift = repeat % len(SIDES)
+        for side in SIDES[shift:] + SIDES[:shift]:
+            speakql, probe = pipelines[side], probes[side]
+            speakql._searcher._cache.clear()
+            char_edit_distance.cache_clear()
+            answers, this_repeat = [], []
+            for query in dictations:
+                start = clock()
+                output = speakql.query_from_speech(
+                    query.sql, seed=query.seed, nbest=NBEST
+                )
+                elapsed_ms = 1000 * (clock() - start)
+                count, seconds = probe.take()
+                if reference is None:
+                    distinct.append(distinct_masked(speakql, output))
+                if side == "cached" and count > distinct[len(answers)]:
+                    raise AssertionError(
+                        f"dictation {len(answers)}: {count} kernel searches "
+                        f"for {distinct[len(answers)]} distinct masked texts"
+                    )
+                answers.append(answer(output))
+                this_repeat.append(elapsed_ms)
+                searches[side].append(count)
+                search_ms[side].append(1000 * seconds)
+            if reference is None:
+                reference = answers
+            elif answers != reference:
+                raise AssertionError(f"{side} output diverged (repeat {repeat})")
+            latency_ms[side].extend(this_repeat)
+            repeat_p50_ms[side].append(statistics.median(this_repeat))
+
+    rows = []
+    for side in SIDES:
+        q1, _, q3 = quartiles(repeat_p50_ms[side])
+        samples = latency_ms[side]
+        rows.append({
+            "side": side,
+            "samples": len(samples),
+            "median_ms": statistics.median(samples),
+            "p95_ms": statistics.quantiles(
+                samples, n=20, method="inclusive"
+            )[18],
+            "iqr_ms": q3 - q1,
+            "repeat_p50_ms": repeat_p50_ms[side],
+            "searches_per_dictation": statistics.fmean(searches[side]),
+            "search_ms_per_dictation": statistics.fmean(search_ms[side]),
+        })
+    by_side = {row["side"]: row for row in rows}
+    return {
+        "benchmark": "dictation_searches",
+        "queries": args.queries,
+        "repeats": args.repeats,
+        "train": args.train,
+        "nbest": NBEST,
+        "split_seed": SPLIT_SEED,
+        "nproc": os.cpu_count(),
+        "distinct_masked_per_dictation": statistics.fmean(distinct),
+        "identical_outputs": True,
+        "searches_per_dictation": by_side["cached"]["searches_per_dictation"],
+        "setup_s": setup_s,
+        "rows": rows,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--queries", type=int, default=80,
+                        help="Employees test dictations (default 80)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="interleaved runs per side (default 5)")
+    parser.add_argument("--train", type=int, default=750,
+                        help="ASR training queries (default 750, as served)")
+    parser.add_argument("--out", default="BENCH_dictation_searches.json")
+    args = parser.parse_args(argv)
+    if args.queries < 1 or args.repeats < 1:
+        parser.error("--queries and --repeats must be positive")
+
+    report = run(args)
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n",
+                              encoding="utf-8")
+    for row in report["rows"]:
+        print(f"{row['side']:>9}: {row['searches_per_dictation']:.2f} kernel "
+              f"searches/dictation, {row['search_ms_per_dictation']:.1f} ms "
+              f"searching; e2e p50 {row['median_ms']:.1f} ms "
+              f"(IQR {row['iqr_ms']:.1f}), p95 {row['p95_ms']:.1f} ms, "
+              f"n={row['samples']}")
+    print(f"distinct masked texts/dictation "
+          f"{report['distinct_masked_per_dictation']:.2f}; outputs "
+          f"identical; wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,7 +7,8 @@ frozen dataclasses:
 - :class:`QueryRequest` — what to run: the input text, the dictation
   seed (``None`` = correct a raw transcription), an optional speaker
   profile, an optional **deadline** (a latency budget in seconds,
-  enforced cooperatively at stage boundaries), and per-request
+  enforced cooperatively at stage boundaries and literal
+  placeholders), and per-request
   **config overrides** applied on top of the serving pipeline's
   :class:`~repro.core.pipeline.SpeakQLConfig`.
 - :class:`QueryResponse` — what happened: the pipeline output (when one
@@ -57,7 +58,8 @@ OUTCOME_SERVED = "served"
 OUTCOME_DEGRADED = "degraded"
 #: Request rejected at admission (queue full) — never executed.
 OUTCOME_SHED = "shed"
-#: Request stopped at a stage boundary after its deadline passed.
+#: Request stopped at a stage boundary (or literal placeholder) after
+#: its deadline passed.
 OUTCOME_TIMEOUT = "timeout"
 #: Every ladder rung raised; the error of the last attempt is reported.
 OUTCOME_FAILED = "failed"

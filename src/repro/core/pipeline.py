@@ -31,12 +31,13 @@ from dataclasses import asdict, dataclass, field, fields
 from repro.asr.engine import AsrResult, SimulatedAsrEngine
 from repro.asr.speakers import SpeakerProfile
 from repro.core.artifacts import SpeakQLArtifacts
-from repro.core.result import LITERAL_STAGE, SpeakQLOutput
+from repro.core.result import SpeakQLOutput
 from repro.core.stages import (
     CorrectedQuery,
     LiteralStage,
     MaskStage,
     QueryContext,
+    StructureMatches,
     StructureSearchStage,
     TranscribeStage,
     run_stages,
@@ -192,6 +193,7 @@ class SpeakQL:
     _determiner: LiteralDeterminer = field(init=False, repr=False)
     _mask_stage: MaskStage = field(init=False, repr=False)
     _search_stage: StructureSearchStage = field(init=False, repr=False)
+    _ranked_search_stage: StructureSearchStage = field(init=False, repr=False)
     _literal_stage: LiteralStage = field(init=False, repr=False)
     _transcribe_stage: TranscribeStage = field(init=False, repr=False)
 
@@ -229,6 +231,11 @@ class SpeakQL:
         )
         self._mask_stage = MaskStage(literal_focused=self.config.literal_focused)
         self._search_stage = StructureSearchStage(searcher=self._searcher, k=1)
+        # Speech mode searches the rank-0 text once, at the width its
+        # runner-up structures need (see process_asr_result).
+        self._ranked_search_stage = StructureSearchStage(
+            searcher=self._searcher, k=max(self.config.top_k, 1)
+        )
         self._literal_stage = LiteralStage(determiner=self._determiner)
 
     def _build_artifacts(self) -> SpeakQLArtifacts:
@@ -269,9 +276,9 @@ class SpeakQL:
         :meth:`~repro.observability.forensics.Recorder.start`) captures
         full decision provenance without altering the output.
         ``deadline`` is an **absolute** ``time.perf_counter()`` instant:
-        past it, the query stops at the next stage boundary with
-        :class:`~repro.errors.DeadlineExceededError` (see
-        :mod:`repro.serving` for budget-relative deadlines).
+        past it, the query stops at the next stage boundary or literal
+        placeholder with :class:`~repro.errors.DeadlineExceededError`
+        (see :mod:`repro.serving` for budget-relative deadlines).
         """
         tracer = tracer if tracer is not None else self.tracer
         metrics = metrics if metrics is not None else self.metrics
@@ -292,12 +299,17 @@ class SpeakQL:
 
         Each ASR alternative is corrected independently; the output's
         query list is the deduplicated sequence of corrected candidates
-        (the "top 5 outputs" of Table 2).
+        (the "top 5 outputs" of Table 2), padded with runner-up
+        *structures* of the top transcription.  The rank-0 alternative
+        is searched once at ``config.top_k``: its best match drives the
+        rank-0 correction and the same ranked matches supply the
+        runner-ups, so each distinct masked text is searched once.
         """
         if ctx is None:
             ctx = QueryContext(tracer=self.tracer, metrics=self.metrics)
         queries: list[str] = []
         top: CorrectedQuery | None = None
+        ranked: StructureMatches | None = None
         for rank, text in enumerate(asr.alternatives):
             # The forensic record follows the rank-0 alternative only —
             # that is the correction the output's winner comes from.
@@ -307,18 +319,33 @@ class SpeakQL:
                 query_record=ctx.query_record if rank == 0 else None,
                 deadline=ctx.deadline,
             )
-            corrected = self._correct_one(text, step_ctx)
             if rank == 0:
+                matches = run_stages(
+                    [self._mask_stage, self._ranked_search_stage], text, step_ctx
+                )
+                corrected = run_stages([self._literal_stage], matches, step_ctx)
+                if text == asr.text:
+                    ranked = matches
                 top = corrected
                 ctx.merge(step_ctx)
+            else:
+                corrected = self._correct_one(text, step_ctx)
             if corrected.sql and corrected.sql not in queries:
                 queries.append(corrected.sql)
         if len(queries) < self.config.top_k:
             # Diversify with runner-up *structures* for the top ASR text
             # (the n-best list often differs only in literals, so its
             # corrections collapse to few distinct queries).
+            if ranked is None:
+                # No rank-0 alternative equal to the top text (an empty
+                # or hand-built n-best list): search the top text here.
+                ranked = run_stages(
+                    [self._mask_stage, self._ranked_search_stage],
+                    asr.text,
+                    QueryContext(tracer=ctx.tracer, deadline=ctx.deadline),
+                )
             skip = top.structure if top is not None else None
-            for candidate in self._structure_alternatives(asr.text, skip, ctx):
+            for candidate in self._structure_alternatives(ranked, skip, ctx):
                 if candidate and candidate not in queries:
                     queries.append(candidate)
                 if len(queries) >= self.config.top_k:
@@ -353,7 +380,7 @@ class SpeakQL:
         handles for this query; ``record`` captures decision provenance
         (see :mod:`repro.observability.forensics`); ``deadline`` is an
         absolute ``time.perf_counter()`` cutoff enforced at stage
-        boundaries.
+        boundaries and between literal placeholders.
         """
         tracer = tracer if tracer is not None else self.tracer
         metrics = metrics if metrics is not None else self.metrics
@@ -392,27 +419,26 @@ class SpeakQL:
         )
 
     def _structure_alternatives(
-        self, transcription: str, skip, query_ctx: QueryContext
+        self, ranked: StructureMatches, skip, query_ctx: QueryContext
     ) -> list[str]:
         """Corrected queries for the runner-up structures of one text.
 
-        The runner-up decodes run under the query's tracer, so their spans
-        land in its trace; metrics and the forensic record follow the
-        rank-0 correction only.
+        ``ranked`` holds the text's top-k matches from the search that
+        already ran for it, so only literal determination runs here.
+        The decodes run under the query's tracer, so their
+        ``literal.determine`` spans land in its trace; metrics and the
+        forensic record follow the rank-0 correction only.
         """
-        ctx = QueryContext(tracer=query_ctx.tracer, deadline=query_ctx.deadline)
-        masked = run_stages([self._mask_stage], transcription, ctx)
-        search_stage = StructureSearchStage(
-            searcher=self._searcher, k=self.config.top_k
-        )
-        matches = run_stages([search_stage], masked, ctx)
+        source = list(ranked.masked.source)
         out: list[str] = []
-        for result in matches.results:
-            ctx.check_deadline(LITERAL_STAGE)
+        for result in ranked.results:
             if skip is not None and result.structure == skip.structure:
                 continue
             literals = self._determiner.determine(
-                list(masked.source), result.structure, tracer=ctx.tracer
+                source,
+                result.structure,
+                tracer=query_ctx.tracer,
+                deadline=query_ctx.deadline,
             )
             out.append(literals.sql())
         return out

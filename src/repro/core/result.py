@@ -5,14 +5,15 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.literal.determiner import LiteralResult
+from repro.literal.determiner import LITERAL_STAGE, LiteralResult
 from repro.structure.search import SearchResult, SearchStats
 
 #: Canonical stage names (see :mod:`repro.core.stages`).
+#: ``LITERAL_STAGE`` lives with the determiner, whose per-placeholder
+#: deadline checks report it.
 TRANSCRIBE_STAGE = "transcribe"
 MASK_STAGE = "mask"
 STRUCTURE_STAGE = "structure_search"
-LITERAL_STAGE = "literal_determination"
 
 
 class ComponentTimings:

@@ -80,8 +80,10 @@ class QueryContext:
     query_record: QueryRecord | None = None
     #: Absolute ``time.perf_counter()`` cutoff for this query, or
     #: ``None`` for no deadline.  Enforced *cooperatively*: the query is
-    #: only stopped between stages (:meth:`check_deadline`), never
-    #: mid-stage, so a timed-out query leaves no half-mutated state.
+    #: only stopped between stages (:meth:`check_deadline`) and, inside
+    #: literal determination, between placeholders — never inside a
+    #: search or a vote, so a timed-out query leaves no half-mutated
+    #: state.
     deadline: float | None = None
 
     def record(self, stage: str, seconds: float) -> None:
@@ -134,8 +136,10 @@ def run_stages(stages: list[PipelineStage], value: Any, ctx: QueryContext) -> An
     Deadlines are enforced here, at stage boundaries: with
     ``ctx.deadline`` set, each stage is preceded by a
     :meth:`QueryContext.check_deadline` — a query past its cutoff stops
-    before the next stage starts (never mid-stage) and raises
+    before the next stage starts and raises
     :class:`~repro.errors.DeadlineExceededError` naming the boundary.
+    Inside the literal stage the determiner also checks before every
+    placeholder (:meth:`LiteralStage.run` passes ``ctx.deadline``).
     """
     tracer = ctx.tracer
     metrics = ctx.metrics
@@ -263,21 +267,19 @@ class StructureSearchStage:
     name: str = STRUCTURE_STAGE
 
     def run(self, value: MaskedQuery, ctx: QueryContext) -> StructureMatches:
-        results, stats = self.searcher.search(value.search_tokens, k=self.k)
-        ctx.search_stats = stats
         record = ctx.query_record
+        # The forensic record wants the ranked top-k context, not just
+        # the stage's own k.  One search at the wider k serves both: its
+        # top-k prefix is exactly a k-wide search, so recording never
+        # perturbs the output.
+        width = self.k if record is None else max(record.top_k, self.k)
+        ranked, stats = self.searcher.search(value.search_tokens, k=width)
+        results = ranked[: self.k]
+        ctx.search_stats = stats
         if record is not None:
-            # The record wants the ranked top-k context, not just the
-            # winner the stage needs.  Run a *separate* search at the
-            # record's k — the stage's own k=1 call above stays exactly
-            # as in the unrecorded path (same cache key, same result),
-            # so recording never perturbs the output.
-            topk, _ = self.searcher.search(
-                value.search_tokens, k=max(record.top_k, self.k)
-            )
             record.candidates = tuple(
                 StructureCandidate(structure=tuple(r.structure), distance=r.distance)
-                for r in topk
+                for r in ranked
             )
             record.search_stats = asdict(stats)
         tracer = ctx.tracer
@@ -307,6 +309,7 @@ class LiteralStage:
             best.structure,
             tracer=ctx.tracer,
             record=ctx.query_record,
+            deadline=ctx.deadline,
         )
         return CorrectedQuery(sql=literals.sql(), structure=best, literals=literals)
 

@@ -72,7 +72,8 @@ class DeadlineExceededError(ReproError):
     """A query ran past its deadline and was stopped between stages.
 
     ``stage`` names the boundary where the expiry was detected — the
-    stage that was about to run (and never started).
+    stage that was about to run (and never started), or the literal
+    stage when the determiner stopped between two placeholders.
     """
 
     def __init__(self, message: str, *, stage: str | None = None) -> None:

@@ -14,8 +14,11 @@ everything with the narrowed candidate sets.
 from __future__ import annotations
 
 import datetime
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.errors import DeadlineExceededError
 from repro.grammar.categorizer import LiteralCategory, assign_categories
 from repro.grammar.vocabulary import LITERAL_PLACEHOLDER
 from repro.literal.segmentation import (
@@ -31,6 +34,11 @@ from repro.observability.trace import NULL_TRACER, Tracer
 from repro.structure.masking import mask_literals
 from repro.phonetics.phonetic_index import PhoneticIndex
 from repro.sqlengine.catalog import Catalog
+
+#: Pipeline stage name of literal determination (re-exported by
+#: :mod:`repro.core.result` with the other stage names); a deadline
+#: that expires mid-walk is reported against it.
+LITERAL_STAGE = "literal_determination"
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,11 @@ class LiteralDeterminer:
     #: "aligned" derives windows from the structure alignment and scores
     #: candidates coverage-first (experimental, kept for ablation).
     window_strategy: str = "greedy"
+    #: Clock the ``deadline`` of :meth:`determine` is read against
+    #: (``time.perf_counter`` instants; injectable for tests).
+    clock: Callable[[], float] = field(
+        default=time.perf_counter, repr=False, compare=False
+    )
     _column_types: dict[str, str] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -109,6 +122,7 @@ class LiteralDeterminer:
         structure: tuple[str, ...],
         tracer: Tracer | None = None,
         record=None,
+        deadline: float | None = None,
     ) -> LiteralResult:
         """Fill every placeholder of ``structure``.
 
@@ -118,7 +132,12 @@ class LiteralDeterminer:
         pass of the walk in a ``literal.walk`` span (``phase`` 1 or 2).
         ``record`` (a forensics ``QueryRecord``) captures the voting
         tally of every placeholder of the *final* pass — the one whose
-        literals reach the output SQL.
+        literals reach the output SQL.  ``deadline`` is the query's
+        absolute cutoff on :attr:`clock`: it is checked before each
+        placeholder of each pass, and once past it the walk stops with
+        :class:`~repro.errors.DeadlineExceededError` (``stage`` is
+        :data:`LITERAL_STAGE`), so a long walk overshoots the deadline
+        by at most one placeholder, not a whole stage.
         """
         if tracer is None:
             tracer = NULL_TRACER
@@ -133,7 +152,7 @@ class LiteralDeterminer:
             with tracer.span("literal.walk", phase=1):
                 first = self._walk(
                     transcription_tokens, structure, categories, value_types,
-                    tables=None, trace=trace,
+                    tables=None, trace=trace, deadline=deadline,
                 )
             tables = [
                 lit.text
@@ -156,7 +175,7 @@ class LiteralDeterminer:
             with tracer.span("literal.walk", phase=2):
                 second = self._walk(
                     transcription_tokens, structure, categories, value_types,
-                    tables=tables, trace=trace,
+                    tables=tables, trace=trace, deadline=deadline,
                 )
             span.set("narrowed", True)
             if record is not None:
@@ -173,6 +192,7 @@ class LiteralDeterminer:
         value_types: list[str | None],
         tables: list[str] | None,
         trace: list | None = None,
+        deadline: float | None = None,
     ) -> list[FilledLiteral]:
         aligned_windows: list[tuple[int, int]] | None = None
         if self.window_strategy == "aligned":
@@ -185,6 +205,11 @@ class LiteralDeterminer:
             pos for pos, tok in enumerate(structure) if tok == LITERAL_PLACEHOLDER
         ]
         for idx, category in enumerate(categories):
+            if deadline is not None and self.clock() >= deadline:
+                raise DeadlineExceededError(
+                    f"deadline exceeded before placeholder {idx}",
+                    stage=LITERAL_STAGE,
+                )
             if aligned_windows is not None:
                 begin, end = aligned_windows[idx]
             else:

@@ -19,8 +19,8 @@ raises") into per-request service levels.  Every
     request never executed.
 ``timeout``
     The deadline passed while the query was running; the pipeline
-    stopped cooperatively at the next stage boundary
-    (:class:`~repro.errors.DeadlineExceededError`).
+    stopped cooperatively at the next stage boundary or literal
+    placeholder (:class:`~repro.errors.DeadlineExceededError`).
 ``failed``
     Every rung that was tried raised; the last error is reported.
 

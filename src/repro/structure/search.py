@@ -98,7 +98,8 @@ class SearchStats:
     kernel (DAP's tie order is traversal-dependent) — both excluded
     from equality so the flat/reference parity assertions stay exact.
     ``result_cache_hit`` marks stats returned from the LRU result cache
-    (the counters then describe the original, cached search).
+    (the counters then describe the original, cached search, which may
+    have been a wider top-k than the request).
 
     Under a sharded executor (``kernel == "sharded"``) the counters are
     sums over every shard leg that ran, and the ``shards_*`` fields
@@ -210,23 +211,36 @@ class StructureSearchEngine:
 
         Returns the results (ascending distance) and search statistics.
         With ``use_dap``/``use_inv`` off, results are exact: identical to
-        scoring every indexed structure.  Repeated searches for the same
-        masked string are served from a bounded LRU cache (masked
-        transcriptions repeat heavily across a workload's n-best
-        alternatives).
+        scoring every indexed structure.
+
+        Repeated searches for the same masked string are served from a
+        bounded LRU cache (masked transcriptions repeat heavily across a
+        workload's n-best alternatives).  The cache holds one entry per
+        masked string, with the widest ``k`` searched for it: a request
+        for ``j <= k`` is answered by slicing that entry
+        (``results[:j]``, stats flagged ``result_cache_hit``), and a
+        wider request searches again and replaces it.  The slice is
+        exact for every kernel and flag set: offers are stable and ties
+        keep the first offer, and BDB and the column-minimum prunes only
+        drop work strictly worse than the k-th best, so the top-``j`` of
+        an exact top-``k`` search *is* the top-``j`` search
+        (``tests/structure/test_topk_prefix.py``).  A sliced hit's stats
+        describe the wider search that filled the entry.
         """
         masked = tuple(masked)
+        k = max(k, 1)
         if self.cache_results:
-            cached = self._cache.get((masked, k))
-            if cached is not None:
-                self._cache.move_to_end((masked, k))
-                results, stats = cached
+            cached = self._cache.get(masked)
+            if cached is not None and cached[0] >= k:
+                self._cache.move_to_end(masked)
+                width, results, stats = cached
                 hit_stats = copy.copy(stats)
                 hit_stats.result_cache_hit = True
-                return results, hit_stats
+                return (results if width == k else results[:k]), hit_stats
         results, stats = self._search_uncached(masked, k)
         if self.cache_results:
-            self._cache[(masked, k)] = (results, stats)
+            self._cache[masked] = (k, results, stats)
+            self._cache.move_to_end(masked)
             while len(self._cache) > self.max_cached_results:
                 self._cache.popitem(last=False)
         return results, stats
@@ -238,16 +252,17 @@ class StructureSearchEngine:
 
         The serving layer's incremental session decoder calls this once
         per clause span; the contract it adds over :meth:`search` is
-        **replayability** — for a fixed engine and index, the same span
-        tokens always yield the same results *and the same stats
+        **replayability** — for a fixed engine, index and ``k``, the same
+        span tokens always yield the same results *and the same stats
         counters* (an LRU result-cache hit replays the original
         counters, flagging only the ``compare=False``
-        ``result_cache_hit`` bit).  A cached span decode spliced into a
-        later turn is therefore bit-identical to re-searching it, and a
-        correction turn only pays for the clause it changed.  The level
-        plan, per-level weight tables, and inverted subindexes of the
-        compiled/flat kernel are owned by the engine and reused across
-        spans automatically.
+        ``result_cache_hit`` bit; sessions search every span at one
+        ``k``, so no wider entry ever serves them).  A cached span
+        decode spliced into a later turn is therefore bit-identical to
+        re-searching it, and a correction turn only pays for the clause
+        it changed.  The level plan, per-level weight tables, and
+        inverted subindexes of the compiled/flat kernel are owned by the
+        engine and reused across spans automatically.
         """
         return self.search(span_tokens, k=k)
 
@@ -255,7 +270,7 @@ class StructureSearchEngine:
         self, masked: tuple[str, ...], k: int
     ) -> tuple[list[SearchResult], SearchStats]:
         stats = SearchStats()
-        top = _TopK(k=max(k, 1))
+        top = _TopK(k=k)
 
         if self.use_inv:
             subindex = self._rarest_keyword_subindex(masked, stats)
@@ -269,7 +284,7 @@ class StructureSearchEngine:
             and self.kernel == KERNEL_COMPILED
             and not self.use_dap
         ):
-            return executor.search(masked, max(k, 1), stats=stats)
+            return executor.search(masked, k, stats=stats)
 
         self._search_index(self.index, masked, top, stats)
         return top.results(), stats

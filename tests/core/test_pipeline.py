@@ -1,15 +1,22 @@
 """End-to-end pipeline tests."""
 
+import time
+from dataclasses import replace
+
 import pytest
 
 from repro.asr.channel import NOISELESS, AcousticChannel
-from repro.asr.engine import SimulatedAsrEngine, make_custom_engine
+from repro.asr.engine import AsrResult, SimulatedAsrEngine, make_custom_engine
 from repro.asr.language_model import LanguageModel
 from repro.core import SpeakQL, SpeakQLConfig
+from repro.core.result import LITERAL_STAGE
+from repro.core.stages import QueryContext, StructureSearchStage, run_stages
+from repro.errors import DeadlineExceededError
 from repro.grammar.generator import StructureGenerator
 from repro.metrics import score_query
 from repro.observability.trace import Tracer
 from repro.structure.indexer import StructureIndex
+from repro.structure.search import StructureSearchEngine
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +83,158 @@ class TestRunnerUpTracing:
         monkeypatch.setattr(SpeakQL, "_structure_alternatives", spy)
         traced = pipeline.query_from_speech(sql, seed=5, tracer=tracer)
         assert "literal.determine" in runner_up_spans
-        assert "stage.structure_search" in runner_up_spans
+        # Runner-ups reuse the rank-0 search: no re-mask, no re-search.
+        assert "stage.mask" not in runner_up_spans
+        assert "stage.structure_search" not in runner_up_spans
         assert traced.queries == plain.queries
         assert traced.literal_result == plain.literal_result
+
+
+def two_search_oracle(speakql: SpeakQL, asr: AsrResult):
+    """``(queries, top)`` the way the pipeline computed them before the
+    rank-0 search was shared: every alternative searched at k=1, then
+    the top text masked and searched again at ``top_k`` for the
+    runner-up structures — on an uncached engine, so no cache entry
+    can stand in for a search."""
+    cold = StructureSearchEngine(
+        speakql.structure_index, weights=speakql.config.weights,
+        cache_results=False,
+    )
+    top_k = speakql.config.top_k
+    correct = [
+        speakql._mask_stage,
+        StructureSearchStage(searcher=cold, k=1),
+        speakql._literal_stage,
+    ]
+    queries: list[str] = []
+    top = None
+    for rank, text in enumerate(asr.alternatives):
+        corrected = run_stages(correct, text, QueryContext())
+        if rank == 0:
+            top = corrected
+        if corrected.sql and corrected.sql not in queries:
+            queries.append(corrected.sql)
+    if len(queries) < top_k:
+        masked = speakql._mask_stage.run(asr.text, QueryContext())
+        results, _ = cold.search(masked.search_tokens, k=top_k)
+        for result in results:
+            if top is not None and result.structure == top.structure.structure:
+                continue
+            sql = speakql._determiner.determine(
+                list(masked.source), result.structure
+            ).sql()
+            if sql and sql not in queries:
+                queries.append(sql)
+            if len(queries) >= top_k:
+                break
+    return queries, top
+
+
+def assert_matches_oracle(speakql: SpeakQL, asr: AsrResult, out) -> None:
+    queries, top = two_search_oracle(speakql, asr)
+    assert out.queries == queries
+    assert out.asr_text == asr.text
+    assert tuple(out.asr_alternatives) == tuple(asr.alternatives)
+    assert out.structure == (top.structure if top else None)
+    assert out.literal_result == (top.literals if top else None)
+
+
+class TestSharedRankZeroSearch:
+    """Speech mode searches each distinct masked alternative once; the
+    runner-up structures reuse the rank-0 top-k."""
+
+    @pytest.fixture
+    def fresh(self, pipeline):
+        # A new facade owns a new engine, so its result cache starts empty.
+        return SpeakQL(
+            pipeline.catalog, engine=pipeline.engine,
+            structure_index=pipeline.structure_index,
+        )
+
+    @pytest.mark.parametrize("sql,seed", [
+        ("SELECT salary FROM Salaries WHERE salary > 70000", 5),
+        ("SELECT FirstName FROM Employees WHERE Gender = 'M'", 11),
+        ("SELECT AVG ( salary ) FROM Salaries", 3),
+    ])
+    def test_one_uncached_search_per_distinct_masked_alternative(
+        self, fresh, monkeypatch, sql, seed
+    ):
+        searched: list[tuple[tuple[str, ...], int]] = []
+        original = fresh._searcher._search_uncached
+
+        def spy(masked, k):
+            searched.append((masked, k))
+            return original(masked, k)
+
+        monkeypatch.setattr(fresh._searcher, "_search_uncached", spy)
+        runner_ups = []
+        original_alts = SpeakQL._structure_alternatives
+
+        def alts_spy(self, *args, **kwargs):
+            runner_ups.append(args)
+            return original_alts(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpeakQL, "_structure_alternatives", alts_spy)
+        out = fresh.query_from_speech(sql, seed=seed, nbest=5)
+        masked = [
+            fresh._mask_stage.run(text, QueryContext()).search_tokens
+            for text in out.asr_alternatives
+        ]
+        assert len(out.asr_alternatives) > 1
+        assert runner_ups, "the runner-up path must run for this dictation"
+        assert [m for m, _ in searched] == list(dict.fromkeys(masked))
+        # The rank-0 text is searched once, at the runner-ups' width.
+        assert searched[0] == (masked[0], fresh.config.top_k)
+        asr = AsrResult(text=out.asr_text, alternatives=out.asr_alternatives)
+        assert_matches_oracle(fresh, asr, out)
+
+    def test_empty_alternatives(self, pipeline):
+        asr = AsrResult(text="select last name from employers", alternatives=())
+        out = pipeline.process_asr_result(asr)
+        assert out.structure is None
+        assert out.queries  # runner-up structures of the top text
+        assert_matches_oracle(pipeline, asr, out)
+
+    def test_top_text_differs_from_rank_zero(self, pipeline):
+        asr = AsrResult(
+            text="select salary from salaries where salary greater than 70000",
+            alternatives=(
+                "select first name from employees",
+                "select salary from salaries",
+            ),
+        )
+        out = pipeline.process_asr_result(asr)
+        assert_matches_oracle(pipeline, asr, out)
+        # The runner-ups come from the top text, not from rank 0.
+        assert any("70000" in q for q in out.queries)
+
+
+class TestRunnerUpDeadline:
+    def test_runner_up_walk_stops_at_the_next_placeholder(self, pipeline):
+        fresh = SpeakQL(
+            pipeline.catalog, engine=pipeline.engine,
+            structure_index=pipeline.structure_index,
+        )
+        # Real time for three placeholder checks, then far past the
+        # deadline: the first runner-up decode stops mid-walk.
+        reads = []
+
+        def clock():
+            reads.append(None)
+            now = time.perf_counter()
+            return now if len(reads) <= 3 else now + 7200.0
+
+        fresh._determiner = replace(fresh._determiner, clock=clock)
+        ranked = run_stages(
+            [fresh._mask_stage, fresh._ranked_search_stage],
+            "select last name from employers wear first name equals Karsten",
+            QueryContext(),
+        )
+        ctx = QueryContext(deadline=time.perf_counter() + 3600.0)
+        with pytest.raises(DeadlineExceededError) as info:
+            fresh._structure_alternatives(ranked, None, ctx)
+        assert info.value.stage == LITERAL_STAGE
+        assert len(reads) == 4
 
 
 class TestCorrectTranscription:

@@ -1,10 +1,15 @@
 """Tests for the LiteralFinder walk (Box 3)."""
 
+import time
+
 import pytest
 
+from repro.core.stages import LiteralStage, MaskedQuery, QueryContext, StructureMatches
+from repro.errors import DeadlineExceededError
 from repro.grammar.categorizer import LiteralCategory
-from repro.literal.determiner import LiteralDeterminer
+from repro.literal.determiner import LITERAL_STAGE, LiteralDeterminer
 from repro.structure.masking import preprocess_transcription
+from repro.structure.search import SearchResult
 
 
 @pytest.fixture(scope="session")
@@ -120,3 +125,82 @@ class TestRobustness:
         first = result.literals[0]
         assert first.candidates[0] == first.text
         assert len(first.candidates) <= det.top_k
+
+
+class StepClock:
+    """An injected clock: real time for the first ``live`` reads, then a
+    jump far past any deadline a test sets."""
+
+    def __init__(self, live: int) -> None:
+        self.live = live
+        self.reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        if self.reads > self.live:
+            return time.perf_counter() + 10 * HOUR
+        return time.perf_counter()
+
+
+HOUR = 3600.0
+RUNNING_TEXT = "select salary from employers wear first name equals Karsten"
+RUNNING_STRUCTURE = tuple("SELECT x FROM x WHERE x = x".split())
+
+
+def spied_determiner(catalog, clock, resolved: list[int]) -> LiteralDeterminer:
+    det = LiteralDeterminer(catalog, narrow_attributes=False, clock=clock)
+    original = det._resolve_placeholder
+
+    def spy(tokens, begin, end, idx, *args, **kwargs):
+        resolved.append(idx)
+        return original(tokens, begin, end, idx, *args, **kwargs)
+
+    det._resolve_placeholder = spy
+    return det
+
+
+class TestPlaceholderDeadline:
+    """The deadline is checked before every placeholder, so an expiry
+    mid-walk stops at the next placeholder, not the next stage."""
+
+    def source(self):
+        return list(preprocess_transcription(RUNNING_TEXT).source)
+
+    def test_expiry_mid_walk_stops_at_the_next_placeholder(self, small_catalog):
+        resolved: list[int] = []
+        det = spied_determiner(small_catalog, StepClock(live=2), resolved)
+        with pytest.raises(DeadlineExceededError) as info:
+            det.determine(
+                self.source(), RUNNING_STRUCTURE,
+                deadline=time.perf_counter() + HOUR,
+            )
+        assert info.value.stage == LITERAL_STAGE
+        assert "placeholder 2" in str(info.value)
+        # Two of the four placeholders ran; the walk never finished.
+        assert resolved == [0, 1]
+
+    def test_unexpired_deadline_changes_nothing(self, small_catalog):
+        clock = StepClock(live=10**6)
+        det = LiteralDeterminer(small_catalog, narrow_attributes=False,
+                                clock=clock)
+        plain = det.determine(self.source(), RUNNING_STRUCTURE)
+        assert clock.reads == 0  # no deadline: the clock is never read
+        timed = det.determine(self.source(), RUNNING_STRUCTURE,
+                              deadline=time.perf_counter() + HOUR)
+        assert timed == plain
+        assert clock.reads == len(plain.literals)
+
+    def test_literal_stage_threads_the_query_deadline(self, small_catalog):
+        resolved: list[int] = []
+        det = spied_determiner(small_catalog, StepClock(live=1), resolved)
+        masked = preprocess_transcription(RUNNING_TEXT)
+        matches = StructureMatches(
+            masked=MaskedQuery(masked=masked,
+                               search_tokens=tuple(masked.masked)),
+            results=(SearchResult(structure=RUNNING_STRUCTURE, distance=2.2),),
+        )
+        ctx = QueryContext(deadline=time.perf_counter() + HOUR)
+        with pytest.raises(DeadlineExceededError) as info:
+            LiteralStage(determiner=det).run(matches, ctx)
+        assert info.value.stage == LITERAL_STAGE
+        assert resolved == [0]

@@ -172,9 +172,9 @@ class TestCache:
         engine.search(a)  # refresh a: b is now least recent
         engine.search(c)  # evicts b
         assert len(engine._cache) == 2
-        assert (a, 1) in engine._cache
-        assert (c, 1) in engine._cache
-        assert (b, 1) not in engine._cache
+        assert a in engine._cache
+        assert c in engine._cache
+        assert b not in engine._cache
 
     def test_inv_subindex_cache_evicts_least_recent(self, small_index):
         engine = StructureSearchEngine(

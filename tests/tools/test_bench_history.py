@@ -298,6 +298,47 @@ class TestLiteralVotingEntries:
         assert len(bench_history.read_history(history_path)) == 3
 
 
+def _dictation_searches_report(queries=20, train=30):
+    rows = [
+        {"side": side, "samples": 40, "median_ms": ms, "p95_ms": 2 * ms,
+         "iqr_ms": 1.0, "repeat_p50_ms": [ms, ms],
+         "searches_per_dictation": searches,
+         "search_ms_per_dictation": ms / 2}
+        for side, ms, searches in (("cached", 40.0, 1.8),
+                                   ("uncached", 80.0, 5.0))
+    ]
+    return {"benchmark": "dictation_searches", "queries": queries,
+            "repeats": 2, "train": train, "searches_per_dictation": 1.8,
+            "rows": rows}
+
+
+class TestDictationSearchesEntries:
+    def test_one_entry_per_side_with_distinct_keys(self):
+        entries = bench_history.entries_from_report(
+            _dictation_searches_report(), "ds.json"
+        )
+        assert [e["key"] for e in entries] == [
+            "dictation_searches@q20t30-cached",
+            "dictation_searches@q20t30-uncached",
+        ]
+        assert [e["median_ms"] for e in entries] == [40.0, 80.0]
+        assert [e["searches_per_dictation"] for e in entries] == [1.8, 5.0]
+
+    def test_rejected_by_single_entry_path(self):
+        with pytest.raises(KeyError, match="entries_from_report"):
+            bench_history.entry_from_report(_dictation_searches_report(), "s")
+
+    def test_main_appends_every_side(self, tmp_path):
+        report_path = tmp_path / "ds.json"
+        report_path.write_text(json.dumps(_dictation_searches_report()))
+        history_path = tmp_path / "history.jsonl"
+        code = bench_history.main(
+            [str(report_path), "--history", str(history_path)]
+        )
+        assert code == 0
+        assert len(bench_history.read_history(history_path)) == 2
+
+
 def _timed_out_open_loop_report():
     report = _open_loop_report()
     report["rows"][1].update(
@@ -496,6 +537,9 @@ def test_committed_history_is_valid_jsonl():
             assert "@q32" in entry["key"]
         elif entry["benchmark"] == "literal_voting":
             assert "speedup_vs_oracle" in entry
+            assert entry["key"].endswith(f"-{entry['side']}")
+        elif entry["benchmark"] == "dictation_searches":
+            assert "searches_per_dictation" in entry
             assert entry["key"].endswith(f"-{entry['side']}")
         else:
             assert entry["benchmark"] == "serving_shard_scaling"

@@ -24,7 +24,10 @@ appends one entry per phase — cold full decode vs warm correction
 turn — keyed ``session@q32m18pcold`` / ``session@q32m18pwarm``.  A
 ``literal_voting`` report (``bench_literal_voting.py``) appends one
 entry per replay side — DP oracle, memoized kernel, warm kernel —
-keyed ``literal_voting@q80t750-oracle`` etc.
+keyed ``literal_voting@q80t750-oracle`` etc.  A ``dictation_searches``
+report (``bench_dictation_searches.py``) appends one entry per side —
+production result cache vs ``cache_results=False`` — keyed
+``dictation_searches@q80t750-cached`` / ``-uncached``.
 
 Every entry is stamped with the machine's core count (``nproc``), and
 the regression gate only compares entries recorded on the same core
@@ -84,7 +87,8 @@ def entry_from_report(report: dict, source: str) -> dict:
     if report.get("benchmark") in ("serving_shard_scaling",
                                    "serving_open_loop",
                                    "telemetry_overhead",
-                                   "literal_voting"):
+                                   "literal_voting",
+                                   "dictation_searches"):
         raise KeyError(
             f"{report['benchmark']} reports expand to one entry per row; "
             "use entries_from_report"
@@ -230,6 +234,30 @@ def entries_from_report(report: dict, source: str) -> list[dict]:
             }
             for row in report["rows"]
         ]
+    if benchmark == "dictation_searches":
+        # One entry per side (result cache on / off), so the kernel
+        # search count and latency of each track their own trajectory.
+        base_key = f"{benchmark}@q{report['queries']}t{report['train']}"
+        return [
+            {
+                "key": f"{base_key}-{row['side']}",
+                "benchmark": benchmark,
+                "queries": report["queries"],
+                "train": report["train"],
+                "repeats": report["repeats"],
+                "side": row["side"],
+                "samples": row["samples"],
+                "median_ms": row["median_ms"],
+                "iqr_ms": row["iqr_ms"],
+                "p95_ms": row["p95_ms"],
+                "searches_per_dictation": row["searches_per_dictation"],
+                "search_ms_per_dictation": row["search_ms_per_dictation"],
+                "source": source,
+                "recorded_at": recorded_at,
+                **stamp,
+            }
+            for row in report["rows"]
+        ]
     if benchmark != "serving_shard_scaling":
         return [entry_from_report(report, source)]
     deadline_ms = report["deadline_ms"]
@@ -366,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
             extra = f"throughput {entry['throughput_qps']:.1f} q/s"
         elif "speedup_vs_oracle" in entry:
             extra = f"speedup {entry['speedup_vs_oracle']:.1f}x vs oracle"
+        elif "searches_per_dictation" in entry:
+            extra = (f"{entry['searches_per_dictation']:.2f} kernel "
+                     "searches/dictation")
         else:
             extra = f"speedup {entry['speedup_p50']:.1f}x cold/warm"
         print(
