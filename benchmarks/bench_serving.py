@@ -26,17 +26,6 @@ entry (key suffix ``s<shards>``)::
     PYTHONPATH=src python benchmarks/bench_serving.py \
         --queries 40 --scale-shards 0,1,2,4 --out BENCH_shard_scaling.json
 
-``--open-loop`` switches from the closed-loop capacity measurement to a
-seeded arrival schedule (``--arrivals`` poisson/burst/diurnal at
-``--rate`` q/s) fired through the micro-batching asyncio front end,
-sweeping the coalescing window over ``--batch-sizes`` — one row per
-batch size, p50/p95/p99 end-to-end latency pulled from the metrics
-registry (key ``serving_open_loop@q<queries>r<rate>b<batch>``)::
-
-    PYTHONPATH=src python benchmarks/bench_serving.py \
-        --open-loop --queries 64 --rate 200 --batch-sizes 1,8 \
-        --out BENCH_open_loop.json
-
 ``--telemetry-overhead`` prices the live telemetry plane itself: the
 same closed-loop workload under three observability configurations —
 ``off`` (no registry, no tracer), ``metrics`` (the live registry the
@@ -56,7 +45,6 @@ default: 5%)::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import statistics
 import sys
@@ -71,9 +59,8 @@ from repro.dataset import build_employees_catalog
 from repro.dataset.spoken import make_spoken_dataset
 from repro.grammar.generator import StructureGenerator
 from repro.observability.metrics import MetricsRegistry
-from repro.serving import MicroBatcher, ServingRuntime
+from repro.serving import ServingRuntime
 from repro.structure.indexer import StructureIndex
-from repro.workload import OpenLoopRunner, make_schedule, workload_report
 
 
 def _build_workload(args: argparse.Namespace):
@@ -127,72 +114,6 @@ def _run_workload(catalog, artifacts, requests, args, shards: int) -> dict:
         "p95_ms": latencies[min(len(latencies) - 1,
                                 int(len(latencies) * 0.95))] * 1e3,
         "total_s": total_s,
-    }
-
-
-def _run_open_loop(catalog, artifacts, requests, args, batch_size: int) -> dict:
-    """One open-loop pass at ``--rate`` through a ``batch_size`` batcher.
-
-    ``batch_size=1`` is the no-coalescing baseline: every submission
-    flushes immediately (reason ``full``) through the identical
-    batcher/dispatch path, so the sweep isolates coalescing itself.
-    """
-    schedule = make_schedule(
-        args.arrivals, args.rate, len(requests), seed=args.seed
-    )
-    service = SpeakQLService(catalog, artifacts=artifacts)
-    registry = MetricsRegistry()
-    try:
-        runtime = ServingRuntime(
-            service, queue_limit=args.queue_limit, metrics=registry
-        )
-        # Warm the pipeline (index compilation, caches) outside the run.
-        runtime.submit(
-            QueryRequest(text=requests[0].text, seed=requests[0].seed)
-        )
-
-        async def drive():
-            # Batcher and runner write into their own loop-confined
-            # registry, merged into the runtime's after the loop exits.
-            frontend = MetricsRegistry()
-            batcher = MicroBatcher(
-                runtime,
-                max_batch_size=batch_size,
-                max_wait_ms=args.batch_wait_ms,
-                metrics=frontend,
-            )
-            runner = OpenLoopRunner(batcher.submit, metrics=frontend)
-            try:
-                result = await runner.run(schedule, requests)
-            finally:
-                await batcher.close()
-            return result, batcher, frontend
-
-        result, batcher, frontend = asyncio.run(drive())
-        registry.merge(frontend)
-    finally:
-        service.close()
-
-    outcomes = result.outcomes
-    answered = outcomes.get("served", 0) + outcomes.get("degraded", 0)
-    summary = workload_report(registry)
-    e2e = summary["e2e"]
-    return {
-        "batch_size": batch_size,
-        "outcomes": dict(sorted(outcomes.items())),
-        "answered": answered,
-        "answered_fraction": answered / len(requests),
-        "offered_qps": schedule.offered_qps,
-        "throughput_qps": result.achieved_qps,
-        "median_ms": e2e.get("p50_ms", 0.0),
-        "p95_ms": e2e.get("p95_ms", 0.0),
-        "p99_ms": e2e.get("p99_ms", 0.0),
-        "batches": batcher.batches_dispatched,
-        "mean_batch_size": summary.get("mean_batch_size", 1.0),
-        "batch_flushes": summary.get("batch_flushes", {}),
-        "coalesce_wait": summary["coalesce_wait"],
-        "generator_lag": summary["generator_lag"],
-        "total_s": result.wall_seconds,
     }
 
 
@@ -290,26 +211,6 @@ def run(args: argparse.Namespace) -> dict:
         "max_tokens": args.max_tokens,
         "seed": args.seed,
     }
-    if args.open_loop:
-        # Offered-load sweep: same schedule and requests per batch size,
-        # so rows differ only in the coalescing window.
-        rows = [
-            _run_open_loop(catalog, artifacts, requests, args, batch)
-            for batch in args.batch_sizes
-        ]
-        baseline = rows[0]["throughput_qps"]
-        for row in rows:
-            row["speedup_vs_first"] = (
-                row["throughput_qps"] / baseline if baseline else 0.0
-            )
-        return {
-            "benchmark": "serving_open_loop",
-            **common,
-            "rate": args.rate,
-            "arrivals": args.arrivals,
-            "batch_wait_ms": args.batch_wait_ms,
-            "rows": rows,
-        }
     if args.telemetry_overhead:
         rows = _run_telemetry_overhead(catalog, artifacts, requests, args)
         return {
@@ -355,21 +256,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="K0,K1,...",
                         help="sweep shard counts (0 = in-process) and emit "
                         "one cores-vs-throughput row per count")
-    parser.add_argument("--open-loop", action="store_true",
-                        help="fire requests on a seeded arrival schedule "
-                        "through the micro-batching front end instead of "
-                        "the closed-loop capacity run")
-    parser.add_argument("--rate", type=float, default=100.0,
-                        help="open-loop offered load (arrivals/second)")
-    parser.add_argument("--arrivals", default="poisson",
-                        choices=("poisson", "burst", "diurnal"),
-                        help="open-loop arrival process")
-    parser.add_argument("--batch-sizes", type=_parse_scale, default=[1, 8],
-                        metavar="B0,B1,...",
-                        help="open-loop sweep over micro-batch sizes "
-                        "(1 = no coalescing baseline)")
-    parser.add_argument("--batch-wait-ms", type=float, default=2.0,
-                        help="open-loop coalescing window per batch")
     parser.add_argument("--telemetry-overhead", action="store_true",
                         help="price the live telemetry plane: the same "
                         "closed-loop workload with observability off, "
@@ -407,18 +293,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{row['throughput_qps']:.1f} q/s "
                 f"(overhead {row['overhead_vs_off'] * 100:+.1f}% vs off, "
                 f"{mix})"
-            )
-            continue
-        if report["benchmark"] == "serving_open_loop":
-            print(
-                f"{report['queries']} {report['arrivals']} arrivals @ "
-                f"{row['offered_qps']:.0f} q/s offered, "
-                f"batch {row['batch_size']} "
-                f"(mean {row['mean_batch_size']:.2f}): "
-                f"{row['throughput_qps']:.1f} q/s achieved, "
-                f"e2e p50 {row['median_ms']:.2f} ms, "
-                f"p95 {row['p95_ms']:.2f} ms, "
-                f"p99 {row['p99_ms']:.2f} ms ({mix})"
             )
             continue
         label = (

@@ -17,7 +17,7 @@ Subcommands:
   with ``--gold`` also prints the execution-accuracy verdict
   (see ``docs/execution.md``).
 - ``serve``    — run the resilient serving daemon: JSON-lines requests
-  on stdin (and ``--port`` TCP), micro-batched, with per-request
+  on stdin (and ``--port`` TCP), served concurrently, with per-request
   deadlines, load shedding, degraded-mode fallbacks, and HTTP health,
   readiness and telemetry endpoints — see ``docs/serving.md``.
 
@@ -234,26 +234,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session_ttl=args.session_ttl,
         session_limit=args.session_limit,
     )
-    # The batcher writes into its own registry on the event-loop thread
-    # (registries are not locked); the telemetry plane snapshots it on
-    # the loop, and it is merged into the main registry after the loop
-    # exits, before export.
-    frontend_metrics = MetricsRegistry()
     daemon = AsyncServingDaemon(
         runtime,
         health_port=args.health_port,
         telemetry_port=args.telemetry_port,
         port=args.port,
-        max_batch_size=args.batch_size,
-        max_wait_ms=args.batch_wait_ms,
         max_line_bytes=args.max_line_bytes,
-        metrics=frontend_metrics,
     )
     try:
         # Returns on stdin EOF, SIGTERM or SIGINT, after the drain.
         code = run_async_daemon(daemon)
     finally:
-        daemon.batcher.merge_metrics_into(metrics)
         runtime.flush_traces()
         service.close()  # idempotent; the daemon normally shuts down first
         if args.metrics_out:
@@ -493,12 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also accept JSON-lines connections on this "
                             "TCP port (0 = ephemeral; stdin EOF still ends "
                             "the daemon)")
-    serve.add_argument("--batch-size", type=int, default=8,
-                       help="flush a micro-batch at this many coalesced "
-                            "requests")
-    serve.add_argument("--batch-wait-ms", type=float, default=2.0,
-                       help="max time a request waits for batch-mates "
-                            "before a flush")
     serve.add_argument("--max-line-bytes", type=int,
                        default=DEFAULT_MAX_LINE_BYTES,
                        help="largest accepted request line; longer lines "

@@ -37,9 +37,6 @@ SPAN_NAMES: dict[str, str] = {
                            "leg, recorded in the child and re-parented "
                            "under the coordinator's `shard.search` span "
                            "when the result frame returns.",
-    "batch.flush": "One micro-batch dispatched by the serving daemon's "
-                   "coalescing batcher (covers the whole "
-                   "ServingRuntime.submit_batch call).",
     "execution.run": "One (gold, predicted) pair scored against a real "
                      "execution backend: run both queries, compare the "
                      "normalized result sets.",
@@ -51,9 +48,6 @@ SPAN_NAMES: dict[str, str] = {
 
 #: Per-shard leg of a sharded search (module-level constant for emitters).
 SPAN_SHARD_SEARCH = "shard.search"
-
-#: One coalesced micro-batch dispatch (module-level constant for emitters).
-SPAN_BATCH_FLUSH = "batch.flush"
 
 #: Worker-process side of a remote shard leg (module-level constant).
 SPAN_SHARD_WORKER = "shard.worker.search"
@@ -86,11 +80,6 @@ SPAN_ATTRIBUTES: dict[str, str] = {
     "fallback": "`shard.search`: `true` when the leg ran in-process on "
                 "the coordinator (worker dead, timed out, errored, or "
                 "breaker open) instead of on the shard's worker.",
-    "size": "`batch.flush`: requests coalesced into the dispatched "
-            "micro-batch.",
-    "reason": "`batch.flush`: why the batcher flushed (`full`, `wait`, "
-              "`deadline`, `turn`, `drain`); also a label on "
-              "`speakql_batch_flush_total`.",
     "session_id": "`session.turn`: the correction session the turn "
                   "belongs to (echoed on the wire reply).",
     "turn": "`session.turn`: the 0-based turn number within its session.",
@@ -106,8 +95,6 @@ SPAN_ATTRIBUTES: dict[str, str] = {
                "(`match`, `mismatch`, `invalid_sql`, `timeout`, "
                "`gold_error`); also a label on "
                "`speakql_execution_verdicts_total`.",
-    "trace_ids": "`batch.flush`: the wire trace ids of the requests "
-                 "coalesced into the dispatched micro-batch.",
     "trace_id": "Any span: the wire-level trace id of the request that "
                 "opened it (present when the serving runtime sampled "
                 "the request for tracing); the same id is echoed on the "
@@ -154,14 +141,6 @@ SERVING_BREAKER_STATE = "speakql_serving_breaker_state"
 SERVING_BREAKER_TRIPS_TOTAL = "speakql_serving_breaker_trips_total"
 SERVING_SECONDS = "speakql_serving_seconds"
 SERVING_E2E_WINDOW_SECONDS = "speakql_serving_e2e_window_seconds"
-
-BATCH_FLUSH_TOTAL = "speakql_batch_flush_total"
-BATCH_FLUSH_SIZE = "speakql_batch_flush_size"
-BATCH_COALESCE_WAIT_SECONDS = "speakql_batch_coalesce_wait_seconds"
-
-WORKLOAD_REQUESTS_TOTAL = "speakql_workload_requests_total"
-WORKLOAD_LAG_SECONDS = "speakql_workload_lag_seconds"
-WORKLOAD_E2E_SECONDS = "speakql_workload_e2e_seconds"
 
 SHARD_REQUESTS_TOTAL = "speakql_shard_requests_total"
 SHARD_FAILURES_TOTAL = "speakql_shard_failures_total"
@@ -246,21 +225,6 @@ METRIC_NAMES: dict[str, str] = {
                                 "than since-start aggregates; exported "
                                 "as a plain histogram of the live "
                                 "window.",
-    BATCH_FLUSH_TOTAL: "counter — micro-batches dispatched by the "
-                       "coalescing batcher, by flush `reason`.",
-    BATCH_FLUSH_SIZE: "histogram — requests per dispatched micro-batch "
-                      "(size buckets 1/2/4/8/...).",
-    BATCH_COALESCE_WAIT_SECONDS: "histogram — seconds a request waited in "
-                                 "the batcher between enqueue and its "
-                                 "batch's dispatch.",
-    WORKLOAD_REQUESTS_TOTAL: "counter — open-loop workload requests "
-                             "completed, by `outcome`.",
-    WORKLOAD_LAG_SECONDS: "histogram — how late the open-loop runner "
-                          "fired each request relative to its scheduled "
-                          "arrival (driver health, not system latency).",
-    WORKLOAD_E2E_SECONDS: "histogram — end-to-end seconds from a "
-                          "request's scheduled arrival to its response "
-                          "(batcher wait + serving included).",
     SHARD_REQUESTS_TOTAL: "counter — search legs routed to each `shard` "
                           "(remote or fallback).",
     SHARD_FAILURES_TOTAL: "counter — failed remote legs per `shard` "
@@ -319,15 +283,11 @@ METRIC_LABELS: dict[str, str] = {
              f"`literal_determination`); `{SERVING_BREAKER_STATE}` and "
              f"`{SERVING_BREAKER_TRIPS_TOTAL}`: the ladder-rung name "
              "the breaker guards.",
-    "outcome": f"`{SERVING_OUTCOMES_TOTAL}` and "
-               f"`{WORKLOAD_REQUESTS_TOTAL}`: the response outcome "
+    "outcome": f"`{SERVING_OUTCOMES_TOTAL}`: the response outcome "
                "(`served`, `degraded`, `shed`, `timeout`, `failed`).",
-    "reason": f"`{BATCH_FLUSH_TOTAL}`: why the batcher flushed "
-              "(`full` = batch filled, `wait` = max_wait_ms elapsed, "
-              "`deadline` = the oldest request's deadline neared, "
-              "`turn` = a session correction turn arrived, "
-              f"`drain` = shutdown flush); `{SESSION_EVICTIONS_TOTAL}`: "
-              "why the store dropped the session (`lru`, `ttl`).",
+    "reason": f"`{SESSION_EVICTIONS_TOTAL}`: why the store dropped the "
+              "session (`lru` = over the limit, `ttl` = idle past the "
+              "TTL).",
     "kind": f"`{SESSION_TURNS_TOTAL}`: the turn kind (`cold` = turn 0, "
             "`redictate`, `token_patch`).",
     "rung": f"`{SERVING_RUNG_TOTAL}`: degradation-ladder rung index "

@@ -4,11 +4,10 @@ Layer 5 of the architecture: :class:`ServingRuntime` wraps the batch
 :class:`~repro.core.service.SpeakQLService` with per-request service
 levels (deadline budgets enforced at stage boundaries, load shedding
 under saturation, a degradation ladder of cheaper configurations, and
-per-rung circuit breakers); :class:`AsyncServingDaemon` +
-:class:`MicroBatcher` (``repro serve``) expose it as an asyncio
-JSON-lines daemon over stdin and TCP that coalesces concurrent requests
-into micro-batches before dispatch, with HTTP health, readiness and
-telemetry endpoints.
+per-rung circuit breakers); :class:`AsyncServingDaemon`
+(``repro serve``) exposes it as an asyncio JSON-lines daemon over stdin
+and TCP that hands each request straight to the runtime, with HTTP
+health, readiness and telemetry endpoints.
 
 The daemon speaks the versioned wire codec of
 :mod:`repro.serving.protocol`, and correction sessions
@@ -18,7 +17,6 @@ clause span and splices cached decodes for the rest.
 """
 
 from repro.serving.async_daemon import AsyncServingDaemon, run_async_daemon
-from repro.serving.batcher import MicroBatcher, flush_by
 from repro.serving.protocol import (
     DEFAULT_MAX_LINE_BYTES,
     ERROR_KINDS,
@@ -58,7 +56,6 @@ __all__ = [
     "DEFAULT_LADDER",
     "DEFAULT_MAX_LINE_BYTES",
     "ERROR_KINDS",
-    "MicroBatcher",
     "PROTOCOL_VERSION",
     "Rung",
     "ServingRuntime",
@@ -70,7 +67,6 @@ __all__ = [
     "decode_request",
     "encode_response",
     "ensure_trace_id",
-    "flush_by",
     "run_async_daemon",
     "telemetry_response",
 ]

@@ -1,4 +1,4 @@
-"""The serving daemon: JSON lines over stdin and TCP, micro-batched.
+"""The serving daemon: JSON lines over stdin and TCP.
 
 ``repro serve`` runs :class:`AsyncServingDaemon`: one JSON object per
 line in, one JSON object per line out, on stdin/stdout and on any
@@ -14,10 +14,11 @@ number of TCP connections (``--port``).  The wire format is the
     {"id": 3, "outcome": "timeout", "error": "deadline exceeded ...", ...}
     {"id": 2, "outcome": "served", ...}
 
-Requests are served concurrently: an event loop funnels every line
-through a :class:`~repro.serving.batcher.MicroBatcher`, so requests
-arriving within the coalescing window are dispatched as one
-:meth:`~repro.serving.runtime.ServingRuntime.submit_batch` call.  So:
+Requests are served concurrently: an event loop reads every line and
+hands each decoded request straight to
+:meth:`~repro.serving.runtime.ServingRuntime.submit` on one of the
+daemon's :data:`DISPATCH_WORKERS` dispatch threads.  The time a request
+waits for a free thread is charged against its ``deadline``.  So:
 
 - replies on a stream come back **as they finish**, not in request
   order — correlate by ``id`` (lockstep clients still work: one
@@ -38,9 +39,9 @@ every span the request opens, and follows the request into the shard
 workers.
 
 Lifecycle: the daemon serves until stdin EOF or :meth:`stop` (which
-:func:`run_async_daemon` wires to SIGTERM and SIGINT), then drains the
-batcher — pending requests flush with reason ``drain`` — closes TCP
-connections, and shuts the runtime down.
+:func:`run_async_daemon` wires to SIGTERM and SIGINT), then closes TCP
+connections, waits for the requests still on the dispatch threads, and
+shuts the runtime down.
 """
 
 from __future__ import annotations
@@ -50,9 +51,12 @@ import json
 import signal
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import IO, AsyncIterator
 
-from repro.serving.batcher import MicroBatcher
+from repro.api import QueryRequest, QueryResponse
 from repro.serving.protocol import (
     DEFAULT_MAX_LINE_BYTES,
     decode_request,
@@ -64,6 +68,9 @@ from repro.serving.protocol import (
 )
 from repro.serving.runtime import ServingRuntime
 from repro.serving.telemetry import AsyncTelemetryServer, TelemetryPlane
+
+#: Threads that run requests through the runtime, off the event loop.
+DISPATCH_WORKERS = 2
 
 #: Chunk size of the bounded TCP line reader.
 _READ_CHUNK = 1 << 16
@@ -118,14 +125,13 @@ async def read_bounded_lines(
 
 
 class AsyncServingDaemon:
-    """Micro-batching JSON-lines daemon over stdin and/or TCP.
+    """JSON-lines daemon over stdin and/or TCP.
 
     ``port`` enables the TCP listener (0 = ephemeral, read the bound
     address back from :attr:`tcp_address`); stdin remains the lifetime
     control either way.  ``health_port``/``telemetry_port``: ``None``
     disables that HTTP server, ``0`` binds an ephemeral port; both serve
-    :attr:`telemetry`, which merges the runtime's registry with
-    ``metrics``, the batcher's loop-confined registry.
+    :attr:`telemetry`, the runtime's registry and status.
     """
 
     def __init__(
@@ -136,33 +142,19 @@ class AsyncServingDaemon:
         telemetry_port: int | None = None,
         port: int | None = None,
         host: str = "127.0.0.1",
-        max_batch_size: int = 8,
-        max_wait_ms: float = 2.0,
-        deadline_slack_ms: float = 5.0,
-        dispatch_workers: int = 2,
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-        metrics=None,
-        tracer=None,
     ) -> None:
         if max_line_bytes < 1:
             raise ValueError("max_line_bytes must be >= 1")
         self.runtime = runtime
         self.health_port = health_port
         self.telemetry_port = telemetry_port
-        self.telemetry = TelemetryPlane(
-            runtime, registries=(metrics,) if metrics is not None else ()
-        )
+        self.telemetry = TelemetryPlane(runtime)
         self.port = port
         self.host = host
         self.max_line_bytes = max_line_bytes
-        self.batcher = MicroBatcher(
-            runtime,
-            max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            deadline_slack_ms=deadline_slack_ms,
-            dispatch_workers=dispatch_workers,
-            metrics=metrics,
-            tracer=tracer,
+        self._executor = ThreadPoolExecutor(
+            max_workers=DISPATCH_WORKERS, thread_name_prefix="serve-dispatch"
         )
         self._health_server: AsyncTelemetryServer | None = None
         self._telemetry_server: AsyncTelemetryServer | None = None
@@ -196,8 +188,8 @@ class AsyncServingDaemon:
     # -- request handling ----------------------------------------------------
 
     async def handle_frames(self, line: str) -> list[dict]:
-        """Parse, batch-submit, and format one wire line as its ordered
-        reply frames (partial frames, then the final reply)."""
+        """Parse, submit, and format one wire line as its ordered reply
+        frames (partial frames, then the final reply)."""
         line = line.strip()
         if not line:
             return []
@@ -212,17 +204,35 @@ class AsyncServingDaemon:
                 request_id = data.get("id")
             return [error_reply(error_kind_of(error), str(error), request_id)]
         request = ensure_trace_id(request)
-        response = await self.batcher.submit(request)
+        response = await asyncio.get_running_loop().run_in_executor(
+            self._executor, self._dispatch, request, time.monotonic()
+        )
         # Stream sampled spans out as requests complete (no-op without
         # a trace sink on the runtime).
         self.runtime.flush_traces()
         return response_frames(response, request_id=data.get("id"))
 
     async def handle_line(self, line: str) -> dict:
-        """Parse, batch-submit, and format one wire line (final reply
-        only; partial frames are dropped — use :meth:`handle_frames`)."""
+        """Parse, submit, and format one wire line (final reply only;
+        partial frames are dropped — use :meth:`handle_frames`)."""
         frames = await self.handle_frames(line)
         return frames[-1] if frames else {}
+
+    def _dispatch(
+        self, request: QueryRequest, arrived: float
+    ) -> QueryResponse:
+        """Runs on a dispatch thread: serve one request.
+
+        The time the request waited for this thread is charged against
+        its ``deadline`` first, so a budget the queue consumed times out
+        instead of serving stale.
+        """
+        if request.deadline is not None:
+            waited = time.monotonic() - arrived
+            request = replace(
+                request, deadline=max(0.0, request.deadline - waited)
+            )
+        return self.runtime.submit(request)
 
     # -- stdin / stdout ------------------------------------------------------
 
@@ -233,7 +243,7 @@ class AsyncServingDaemon:
         Lines are read on a daemon thread, so a blocking ``readline``
         never stalls the loop and never keeps the process alive after a
         stop; responses are written as they complete (atomic per line),
-        so pipelined stdin requests batch together.
+        so pipelined stdin requests are served concurrently.
         """
         loop = asyncio.get_running_loop()
         write_lock = asyncio.Lock()
@@ -389,8 +399,7 @@ class AsyncServingDaemon:
     async def _serve_http(
         self, port: int, label: str, announce: IO[str] | None
     ) -> AsyncTelemetryServer:
-        """Bind one probe/telemetry server *on the event loop* — the only
-        thread that may read the batcher's loop-confined registry."""
+        """Bind one probe/telemetry server on the event loop."""
         server = AsyncTelemetryServer(
             self.telemetry, host=self.host, port=port
         )
@@ -401,7 +410,8 @@ class AsyncServingDaemon:
         return server
 
     async def shutdown(self) -> None:
-        """Stop listeners, drain the batcher, shut the runtime down."""
+        """Stop listeners, wait for in-flight requests, shut the runtime
+        down."""
         if self._telemetry_server is not None:
             await self._telemetry_server.close()
             self._telemetry_server = None
@@ -424,7 +434,9 @@ class AsyncServingDaemon:
         if self._tcp_server is not None:
             await self._tcp_server.wait_closed()
             self._tcp_server = None
-        await self.batcher.close()
+        # Requests still on a dispatch thread finish before the runtime
+        # goes away (off the loop, so the health probe keeps answering).
+        await asyncio.to_thread(self._executor.shutdown, wait=True)
         if self._health_server is not None:
             await self._health_server.close()
             self._health_server = None
@@ -460,6 +472,7 @@ def run_async_daemon(daemon: AsyncServingDaemon) -> int:
 
 
 __all__ = [
+    "DISPATCH_WORKERS",
     "AsyncServingDaemon",
     "read_bounded_lines",
     "run_async_daemon",

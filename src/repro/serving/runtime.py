@@ -285,70 +285,6 @@ class ServingRuntime:
             self._account_response(response)
         return response
 
-    def submit_batch(
-        self, queries: Iterable[object]
-    ) -> list[QueryResponse]:
-        """Serve one coalesced micro-batch, in arrival order.
-
-        The per-request semantics are exactly :meth:`submit` — the same
-        ``_execute`` ladder walk produces bit-identical responses — but
-        the admission and accounting lock round-trips are batched: one
-        acquisition admits every request that fits (requests beyond the
-        queue limit are shed, preserving backpressure), and one folds
-        the outcome/rung/latency counters back in at the end.  This is
-        the dispatch target of
-        :class:`~repro.serving.batcher.MicroBatcher`: the front end pays
-        the executor hand-off and lock traffic once per batch instead of
-        once per request.
-
-        Requests execute serially in arrival order, and the wall time a
-        request spends waiting behind its batch-mates is charged against
-        its ``deadline`` budget — a deadline is an end-to-end promise to
-        the client, and being coalesced must not quietly extend it.
-        """
-        requests = [QueryRequest.from_legacy(q) for q in queries]
-        if not requests:
-            return []
-        responses: list[QueryResponse | None] = [None] * len(requests)
-        admitted: list[int] = []
-        with self._lock:
-            for index, request in enumerate(requests):
-                self._count(obs_names.SERVING_REQUESTS_TOTAL)
-                if self._inflight >= self.queue_limit:
-                    self._shed += 1
-                    self._outcomes["shed"] += 1
-                    self._count(
-                        obs_names.SERVING_OUTCOMES_TOTAL, outcome="shed"
-                    )
-                    responses[index] = shed_response(request)
-                else:
-                    self._inflight += 1
-                    admitted.append(index)
-            self._gauge(obs_names.SERVING_QUEUE_DEPTH, self._inflight)
-        executed = 0
-        batch_start = time.perf_counter()
-        try:
-            for index in admitted:
-                request = requests[index]
-                if request.deadline is not None:
-                    waited = time.perf_counter() - batch_start
-                    request = replace(
-                        request,
-                        deadline=max(0.0, request.deadline - waited),
-                    )
-                responses[index] = self._execute(request, None, None)
-                executed += 1
-        finally:
-            # An unexpected escape (not a request failure — _execute
-            # absorbs those) must still release the admitted slots and
-            # account for what did run.
-            with self._lock:
-                self._inflight -= len(admitted)
-                self._gauge(obs_names.SERVING_QUEUE_DEPTH, self._inflight)
-                for index in admitted[:executed]:
-                    self._account_response(responses[index])
-        return responses
-
     def serve_batch(
         self,
         queries: Iterable[object],

@@ -1,24 +1,21 @@
 """The live telemetry plane behind ``GET /metrics`` and ``GET /statusz``.
 
 PR 3's observability layer exports metrics *once, at exit* — useless for
-operating a long-running daemon.  This module makes the same registries
+operating a long-running daemon.  This module makes the same registry
 scrapeable live:
 
-- :class:`TelemetryPlane` — the render source: merges point-in-time
-  snapshots of every participating registry (the runtime's serving
-  instruments, the shard executor's per-shard counters which share that
-  registry, and — on the async daemon — the micro-batcher's
-  loop-confined registry) into one Prometheus text page, and exposes the
-  runtime's ``statusz()`` operator snapshot;
+- :class:`TelemetryPlane` — the render source: a point-in-time snapshot
+  of the runtime's registry (its serving instruments, plus the shard
+  executor's per-shard counters, which share that registry) rendered as
+  one Prometheus text page, and the runtime's ``statusz()`` operator
+  snapshot;
 - :class:`AsyncTelemetryServer` — a minimal asyncio HTTP/1.0 GET
-  handler serving the plane and the ``/healthz``/``/readyz`` probes
-  **on the event loop**.  This is deliberate: the batcher's registry is
-  confined to the loop thread (the repo-wide lock-free registry
-  discipline), so the only race-free place to read it is the loop
-  itself.  The daemon binds it on both its probe and telemetry ports.
+  handler serving the plane and the ``/healthz``/``/readyz`` probes on
+  the daemon's event loop, so probing costs no extra thread.  The
+  daemon binds it on both its probe and telemetry ports.
 
 Rendering is pull-based and allocation-light: a scrape snapshots the
-registries (retrying if an instrument registers mid-copy) and renders;
+registry (retrying if an instrument registers mid-copy) and renders;
 nothing is maintained between scrapes.
 """
 
@@ -36,37 +33,17 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class TelemetryPlane:
-    """Render source for the live telemetry endpoints.
+    """Render source for the live telemetry endpoints."""
 
-    ``registries`` are *additional* registries to merge into the scrape
-    beyond the runtime's own (e.g. the daemon's micro-batcher
-    registry); duplicates are merged once.
-    """
-
-    def __init__(
-        self,
-        runtime: ServingRuntime,
-        registries: tuple[MetricsRegistry, ...] = (),
-    ) -> None:
+    def __init__(self, runtime: ServingRuntime) -> None:
         self.runtime = runtime
-        self.registries = tuple(registries)
-
-    def _merged(self) -> MetricsRegistry:
-        merged = MetricsRegistry()
-        seen: list[MetricsRegistry] = []
-        candidates = [self.runtime.metrics, *self.registries]
-        for registry in candidates:
-            if registry is None:
-                continue
-            if any(registry is s for s in seen):
-                continue
-            seen.append(registry)
-            merged.merge(registry.snapshot())
-        return merged
 
     def metrics_text(self) -> str:
-        """The merged registries as a Prometheus text page."""
-        return to_prometheus(self._merged())
+        """The runtime's registry as a Prometheus text page."""
+        registry = self.runtime.metrics
+        if registry is None:
+            registry = MetricsRegistry()
+        return to_prometheus(registry.snapshot())
 
     def statusz(self) -> dict:
         """The runtime's JSON-ready operator snapshot."""
@@ -98,7 +75,7 @@ class AsyncTelemetryServer:
 
     A deliberately minimal HTTP/1.0 server: request line, headers
     drained, one response, connection closed.  Runs entirely on the
-    event loop so loop-confined registries can be read without locks.
+    event loop.
     """
 
     def __init__(

@@ -17,15 +17,16 @@ import urllib.request
 
 def handle_frames(daemon, *lines: str) -> list[list[dict]]:
     """``daemon.handle_frames`` for each line in turn, on a fresh loop
-    (batcher closed after); returns each line's frames."""
+    (the daemon's dispatch threads closed after); returns each line's
+    frames."""
 
     async def drive():
-        try:
-            return [await daemon.handle_frames(line) for line in lines]
-        finally:
-            await daemon.batcher.close()
+        return [await daemon.handle_frames(line) for line in lines]
 
-    return asyncio.run(drive())
+    try:
+        return asyncio.run(drive())
+    finally:
+        daemon._executor.shutdown(wait=True)
 
 
 def serve_stdin(daemon, text: str) -> tuple[int, list[dict]]:

@@ -1,7 +1,7 @@
 """The serving daemon's stdin contract and its probe port.
 
 Each request here travels the way ``repro serve`` reads it: a line on
-stdin, served through the micro-batcher, frames back on stdout.
+stdin, served on a dispatch thread, frames back on stdout.
 (``test_async_daemon.py`` covers ``handle_frames`` directly, the bounded
 TCP reader, and concurrent TCP clients.)
 """
@@ -43,7 +43,7 @@ def runtime(request):
 def serve_line(runtime, line: str, **kwargs) -> list[dict]:
     """Every frame the daemon writes for one stdin line."""
     code, frames = serve_stdin(
-        AsyncServingDaemon(runtime, max_wait_ms=1.0, **kwargs), line + "\n"
+        AsyncServingDaemon(runtime, **kwargs), line + "\n"
     )
     assert code == 0
     return frames

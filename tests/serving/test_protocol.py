@@ -45,12 +45,12 @@ def fresh_runtime(request):
 
 
 def daemon_frames(runtime, *lines: str) -> list[list[dict]]:
-    return handle_frames(AsyncServingDaemon(runtime, max_wait_ms=1.0), *lines)
+    return handle_frames(AsyncServingDaemon(runtime), *lines)
 
 
 def stdin_frames(runtime, line: str) -> list[dict]:
     code, frames = serve_stdin(
-        AsyncServingDaemon(runtime, max_wait_ms=1.0), line + "\n"
+        AsyncServingDaemon(runtime), line + "\n"
     )
     assert code == 0
     return frames

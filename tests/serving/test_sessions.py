@@ -206,38 +206,3 @@ class TestRuntimeSessions:
         assert response.ok
         assert [p["clause"] for p in response.partials] == ["SELECT", "FROM"]
         assert all(p["reused"] is False for p in response.partials)
-
-
-class TestBatcherTurnFlush:
-    def test_session_requests_flush_immediately(self):
-        import asyncio
-
-        from repro.api import QueryResponse
-        from repro.serving import MicroBatcher
-
-        class StubRuntime:
-            def submit_batch(self, requests):
-                return [
-                    QueryResponse(request=r, outcome="served")
-                    for r in requests
-                ]
-
-        async def drive():
-            metrics = MetricsRegistry()
-            batcher = MicroBatcher(
-                StubRuntime(), max_batch_size=64, max_wait_ms=1000.0,
-                metrics=metrics,
-            )
-            response = await batcher.submit(cold("s", "select salary"))
-            await batcher.close()
-            return metrics, batcher, response
-
-        metrics, batcher, response = asyncio.run(drive())
-        assert response.outcome == "served"
-        assert batcher.batches_dispatched == 1
-        reasons = {
-            tuple(sorted(labels.items())): instrument.value
-            for name, labels, instrument in metrics.collect()
-            if name == obs_names.BATCH_FLUSH_TOTAL
-        }
-        assert reasons == {(("reason", "turn"),): 1}

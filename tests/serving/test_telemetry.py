@@ -75,16 +75,6 @@ class TestTelemetryPlane:
         assert obs_names.SERVING_E2E_WINDOW_SECONDS in page
         assert 'outcome="served"' in page
 
-    def test_extra_registries_merge_once(self, request, artifacts):
-        runtime = make_runtime(request, artifacts)
-        extra = MetricsRegistry()
-        extra.counter(obs_names.BATCH_FLUSH_TOTAL, reason="full").inc(3)
-        plane = TelemetryPlane(
-            runtime, registries=(extra, extra, runtime.metrics)
-        )
-        page = plane.metrics_text()
-        assert 'speakql_batch_flush_total{reason="full"} 3' in page
-
     def test_router_serves_both_routes_and_declines_the_rest(
         self, request, artifacts
     ):
@@ -167,9 +157,7 @@ class TestProbePort:
                     for path in ("/metrics", "/statusz", "/healthz",
                                  "/readyz")}
 
-        daemon = AsyncServingDaemon(
-            runtime, health_port=0, metrics=MetricsRegistry()
-        )
+        daemon = AsyncServingDaemon(runtime, health_port=0)
         code, seen = serve_while(daemon, scenario)
         assert code == 0
         status, content_type, body = seen["/metrics"]
@@ -206,9 +194,7 @@ class TestAsyncEndpoints:
     ):
         runtime = make_runtime(request, artifacts)
         runtime.submit(QueryRequest(text="select salary from salaries"))
-        extra = MetricsRegistry()
-        extra.counter(obs_names.BATCH_FLUSH_TOTAL, reason="full").inc()
-        plane = TelemetryPlane(runtime, registries=(extra,))
+        plane = TelemetryPlane(runtime)
 
         async def fetch(path: str) -> tuple[int, bytes]:
             server = AsyncTelemetryServer(plane, port=0)
@@ -232,7 +218,6 @@ class TestAsyncEndpoints:
         assert status == 200
         page = body.decode("utf-8")
         assert obs_names.SERVING_OUTCOMES_TOTAL in page
-        assert obs_names.BATCH_FLUSH_TOTAL in page  # batcher registry
 
         status, body = asyncio.run(fetch("/statusz"))
         assert status == 200
@@ -321,7 +306,7 @@ class TestWireTraceIds:
     ):
         runtime = make_runtime(request, artifacts)
         [generated], [echoed] = handle_frames(
-            AsyncServingDaemon(runtime, max_wait_ms=1.0),
+            AsyncServingDaemon(runtime),
             json.dumps({"id": 1, "text": "select salary from salaries"}),
             json.dumps({"id": 2, "text": "select salary from salaries",
                         "trace_id": "client-1"}),
@@ -332,7 +317,7 @@ class TestWireTraceIds:
     def test_wire_rejects_non_string_trace_id(self, request, artifacts):
         runtime = make_runtime(request, artifacts)
         [[out]] = handle_frames(
-            AsyncServingDaemon(runtime, max_wait_ms=1.0),
+            AsyncServingDaemon(runtime),
             json.dumps({"id": 3, "text": "x", "trace_id": 7}),
         )
         assert out["error_kind"] == "invalid_request"

@@ -199,65 +199,6 @@ class TestShardScalingEntries:
         assert len(bench_history.read_history(history_path)) == 4
 
 
-def _open_loop_report(batch_sizes=(1, 8), queries=64, rate=200.0):
-    rows = [
-        {
-            "batch_size": batch,
-            "outcomes": {"served": queries},
-            "answered": queries,
-            "answered_fraction": 1.0,
-            "throughput_qps": 50.0 * (index + 1),
-            "median_ms": 40.0 - index,
-            "p95_ms": 80.0,
-            "p99_ms": 120.0,
-            "total_s": queries / (50.0 * (index + 1)),
-            "speedup_vs_first": float(index + 1),
-        }
-        for index, batch in enumerate(batch_sizes)
-    ]
-    return {
-        "benchmark": "serving_open_loop",
-        "queries": queries,
-        "rate": rate,
-        "arrivals": "poisson",
-        "deadline_ms": None,
-        "batch_wait_ms": 2.0,
-        "rows": rows,
-    }
-
-
-class TestOpenLoopEntries:
-    def test_one_entry_per_batch_size_with_distinct_keys(self):
-        entries = bench_history.entries_from_report(
-            _open_loop_report((1, 4, 8)), "ol.json"
-        )
-        assert [e["batch_size"] for e in entries] == [1, 4, 8]
-        assert [e["key"] for e in entries] == [
-            "serving_open_loop@q64r200b1",
-            "serving_open_loop@q64r200b4",
-            "serving_open_loop@q64r200b8",
-        ]
-        for entry in entries:
-            assert entry["arrivals"] == "poisson"
-            assert entry["p99_ms"] == 120.0
-            assert entry["source"] == "ol.json"
-
-    def test_open_loop_rejected_by_single_entry_path(self):
-        with pytest.raises(KeyError, match="entries_from_report"):
-            bench_history.entry_from_report(_open_loop_report(), "s")
-
-    def test_main_appends_every_row(self, tmp_path):
-        report_path = tmp_path / "ol.json"
-        report_path.write_text(json.dumps(_open_loop_report((1, 8))))
-        history_path = tmp_path / "history.jsonl"
-        code = bench_history.main(
-            [str(report_path), "--history", str(history_path)]
-        )
-        assert code == 0
-        entries = bench_history.read_history(history_path)
-        assert [e["key"][-2:] for e in entries] == ["b1", "b8"]
-
-
 def _literal_voting_report(queries=8, train=30):
     rows = [
         {"side": side, "median_ms": ms, "iqr_ms": 0.5, "repeat_ms": [ms],
@@ -339,19 +280,11 @@ class TestDictationSearchesEntries:
         assert len(bench_history.read_history(history_path)) == 2
 
 
-def _timed_out_open_loop_report():
-    report = _open_loop_report()
-    report["rows"][1].update(
-        outcomes={"timeout": 64}, answered=0, answered_fraction=0.0
-    )
-    return report
-
-
 class TestAnsweredGate:
     @pytest.mark.parametrize(
         "make_report",
-        [_serving_report, _timed_out_open_loop_report],
-        ids=["39-of-40-answered", "open-loop-row-all-timeouts"],
+        [_serving_report],
+        ids=["39-of-40-answered"],
     )
     def test_main_refuses_a_run_that_did_not_answer(
         self, tmp_path, capsys, make_report
@@ -376,8 +309,7 @@ class TestMachineStamp:
         nproc = bench_history.machine_stamp()["nproc"]
         single = bench_history.entry_from_report(_report(), "s")
         assert single["nproc"] == nproc
-        for report in (_serving_report(), _scaling_report(),
-                       _open_loop_report()):
+        for report in (_serving_report(), _scaling_report()):
             for entry in bench_history.entries_from_report(report, "s"):
                 assert entry["nproc"] == nproc
 

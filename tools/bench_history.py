@@ -14,8 +14,6 @@ compared against earlier smoke runs — never against the committed
 full-size report.  A ``serving_shard_scaling`` report (the
 ``--scale-shards`` sweep of ``bench_serving.py``) appends one entry
 per shard count, keyed ``serving_shard_scaling@q40ms0s2``, and a
-``serving_open_loop`` report (the ``--open-loop`` sweep) one entry per
-micro-batch size, keyed ``serving_open_loop@q64r200b8``, and a
 ``telemetry_overhead`` report (the ``--telemetry-overhead`` pricing of
 the live telemetry plane) one entry per observability configuration,
 keyed ``telemetry_overhead@q32cmetrics`` — each configuration tracks
@@ -85,7 +83,6 @@ def entry_from_report(report: dict, source: str) -> dict:
     ``median_ms``, which is what the regression gate compares.
     """
     if report.get("benchmark") in ("serving_shard_scaling",
-                                   "serving_open_loop",
                                    "telemetry_overhead",
                                    "literal_voting",
                                    "dictation_searches"):
@@ -131,38 +128,12 @@ def entry_from_report(report: dict, source: str) -> dict:
 
 
 def entries_from_report(report: dict, source: str) -> list[dict]:
-    """All history lines from a report — usually one, but the
-    ``serving_shard_scaling`` and ``serving_open_loop`` sweeps yield one
-    per row (shard count / micro-batch size)."""
+    """All history lines from a report — usually one, but the sweeps
+    (``serving_shard_scaling``, ``telemetry_overhead``, ...) yield one
+    per row."""
     benchmark = report.get("benchmark")
     recorded_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     stamp = machine_stamp()
-    if benchmark == "serving_open_loop":
-        base_key = (
-            f"{benchmark}@q{report['queries']}r{report['rate']:g}"
-        )
-        return [
-            {
-                "key": f"{base_key}b{row['batch_size']}",
-                "benchmark": benchmark,
-                "queries": report["queries"],
-                "rate": report["rate"],
-                "arrivals": report["arrivals"],
-                "deadline_ms": report["deadline_ms"],
-                "batch_size": row["batch_size"],
-                "median_ms": row["median_ms"],
-                "p95_ms": row["p95_ms"],
-                "p99_ms": row["p99_ms"],
-                "throughput_qps": row["throughput_qps"],
-                "speedup_vs_first": row["speedup_vs_first"],
-                "answered_fraction": row["answered_fraction"],
-                "outcomes": row["outcomes"],
-                "source": source,
-                "recorded_at": recorded_at,
-                **stamp,
-            }
-            for row in report["rows"]
-        ]
     if benchmark == "telemetry_overhead":
         # One entry per observability configuration (off / metrics /
         # metrics+trace1pct), so each configuration's latency tracks

@@ -17,8 +17,7 @@ dictation, and a dictation with a 1 ms deadline — and asserts:
 - ``GET /healthz`` answers 200 with the matching outcome counts and
   ``GET /readyz`` reports readiness;
 - ``GET /metrics`` on the same probe port serves Prometheus text naming
-  the serving counters, the micro-batcher's flush counters and the
-  rolling end-to-end window (plus the per-shard kernel counters with
+  the serving counters and the rolling end-to-end window (plus the per-shard kernel counters with
   ``shard=`` labels when ``--shards`` is on), and ``GET /statusz``
   reports the degradation ladder, breaker states, queue occupancy, and
   rolling latency percentiles;
@@ -29,10 +28,9 @@ dictation, and a dictation with a 1 ms deadline — and asserts:
 assertions apply (sharding is bit-identical and invisible on the wire),
 plus ``/healthz`` must report K shards with a live worker in each.
 
-``--async-batch`` drives the daemon over TCP instead (``repro serve
---port 0``): two concurrent TCP clients fire requests simultaneously
-(coalesced into shared batches), a 1 ms-deadline request still times
-out, a deliberately oversized (> 1 MiB) line gets a structured
+``--tcp`` drives the daemon over TCP instead (``repro serve --port
+0``): two concurrent TCP clients fire requests simultaneously, a 1
+ms-deadline request still times out, a deliberately oversized (> 1 MiB) line gets a structured
 ``invalid_request`` error with the connection surviving to serve
 another request, the dedicated ``--telemetry-port`` answers, and stdin
 EOF shuts everything down cleanly.
@@ -41,7 +39,7 @@ Run from the repository root::
 
     python tools/serve_smoke.py
     python tools/serve_smoke.py --shards 2
-    python tools/serve_smoke.py --async-batch
+    python tools/serve_smoke.py --tcp
 """
 
 from __future__ import annotations
@@ -120,8 +118,7 @@ def fetch(url: str) -> tuple[int, bytes]:
         return r.status, r.read()
 
 
-def check_telemetry(base_url: str, *, shards: int = 0,
-                    expect_batcher: bool = False) -> None:
+def check_telemetry(base_url: str, *, shards: int = 0) -> None:
     """Assert /metrics and /statusz on ``base_url`` look operable."""
     status, body = fetch(base_url + "/metrics")
     if status != 200:
@@ -130,8 +127,6 @@ def check_telemetry(base_url: str, *, shards: int = 0,
     required = ["speakql_serving_requests_total",
                 "speakql_serving_outcomes_total",
                 "speakql_serving_e2e_window_seconds"]
-    if expect_batcher:
-        required.append("speakql_batch_flush_total")
     if shards:
         required += ["speakql_shard_nodes_visited_total",
                      "speakql_shard_rows_pruned_total"]
@@ -191,8 +186,7 @@ class _TcpClient:
 def run_tcp_smoke(env: dict) -> int:
     command = [sys.executable, "-m", "repro", "serve",
                "--schema", "employees", "--health-port", "0",
-               "--port", "0", "--telemetry-port", "0",
-               "--batch-size", "4", "--batch-wait-ms", "5"]
+               "--port", "0", "--telemetry-port", "0"]
     proc = subprocess.Popen(
         command,
         stdin=subprocess.PIPE,
@@ -225,10 +219,10 @@ def run_tcp_smoke(env: dict) -> int:
             fail("daemon never reported ready")
         address = (host, int(port))
 
-        # Two clients fire concurrently so their requests coalesce into
-        # shared micro-batches; responses correlate by id.
+        # Two clients fire concurrently, so requests are in flight
+        # together; responses correlate by id.
         clients = [_TcpClient(address), _TcpClient(address)]
-        batches = (
+        per_client = (
             [{"id": "a1", "text": "select salary from salaries"},
              {"id": "a2", "text": "SELECT FirstName FROM Employees",
               "seed": 7}],
@@ -247,14 +241,14 @@ def run_tcp_smoke(env: dict) -> int:
         replies: dict = {}
         threads = [
             threading.Thread(target=drive, args=(c, b, replies))
-            for c, b in zip(clients, batches)
+            for c, b in zip(clients, per_client)
         ]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=120)
-        for batch in batches:
-            for request in batch:
+        for requests in per_client:
+            for request in requests:
                 response = replies.get(request["id"])
                 if response is None:
                     fail(f"no reply for {request['id']}: {replies}")
@@ -263,7 +257,7 @@ def run_tcp_smoke(env: dict) -> int:
                     fail(f"request {request['id']} not served: {response}")
 
         # A 1 ms budget is consumed before the pipeline can finish: the
-        # batcher must flush it promptly and the runtime must time out.
+        # runtime must time out.
         clients[0].send({"id": "t1",
                          "text": "SELECT FirstName FROM Employees",
                          "seed": 7, "deadline_ms": 1})
@@ -282,7 +276,7 @@ def run_tcp_smoke(env: dict) -> int:
         if after.get("outcome") != "served":
             fail(f"connection did not survive the oversized line: {after}")
 
-        # Every batched reply must still echo a wire trace id.
+        # Every concurrent reply must still echo a wire trace id.
         for key, response in replies.items():
             if not response.get("trace_id"):
                 fail(f"reply {key} carries no trace_id: {response}")
@@ -302,9 +296,8 @@ def run_tcp_smoke(env: dict) -> int:
         if health["outcomes"].get("timeout") != 1:
             fail(f"healthz timeout count != 1: {health['outcomes']}")
 
-        # The dedicated telemetry port runs on the event loop and must
-        # see the batcher's loop-confined flush counters live.
-        check_telemetry(telemetry_url, expect_batcher=True)
+        # The dedicated telemetry port answers the same plane.
+        check_telemetry(telemetry_url)
 
         for client in clients:
             client.close()
@@ -334,7 +327,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--shards", type=int, default=0,
                         help="run the daemon with a K-worker shard pool")
-    parser.add_argument("--async-batch", action="store_true",
+    parser.add_argument("--tcp", action="store_true",
                         help="drive the daemon over concurrent TCP "
                              "clients instead of stdin")
     args = parser.parse_args()
@@ -342,7 +335,7 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    if args.async_batch:
+    if args.tcp:
         return run_tcp_smoke(env)
     metrics_out = Path(tempfile.mkdtemp(prefix="serve-smoke-")) / "m.prom"
     command = [sys.executable, "-m", "repro", "serve",
@@ -424,7 +417,7 @@ def main() -> int:
                 fail(f"shard pool not healthy: {shards}")
 
         # The probe port doubles as the telemetry plane.
-        check_telemetry(health_url, shards=args.shards, expect_batcher=True)
+        check_telemetry(health_url, shards=args.shards)
 
         # An orchestrator stop: SIGTERM while stdin is still open.
         proc.send_signal(signal.SIGTERM)
