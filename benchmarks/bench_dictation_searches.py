@@ -15,12 +15,16 @@ Every dictation's output (query list, structure, literal result) must be
 identical on both sides, and the cached side must never run more kernel
 searches in a dictation than the dictation has distinct masked texts;
 otherwise the run aborts.  Per side it reports kernel searches per
-dictation, structure-search milliseconds per dictation (time inside
-``StructureSearchEngine.search``, cache hits included) and end-to-end
-dictation latency p50/p95 over every sample, with the sample count,
-``nproc``, repeats and the spread (IQR) of the per-repeat medians.  Each
-repeat starts both sides from an empty result cache and literal memo;
-within a repeat the cache stays warm across dictations, as in a daemon.
+dictation, the kernel's ``nodes_visited`` per dictation (work done, not
+milliseconds), structure-search milliseconds per dictation (time inside
+``StructureSearchEngine.search``, cache hits included), the literal
+determiner's placeholder-memo hit ratio, the share of dictation wall
+time the output's stage timings account for, and end-to-end dictation
+latency p50/p95 over every sample, with the sample count, ``nproc``,
+repeats and the spread (IQR) of the per-repeat medians.  Each repeat
+starts both sides from an empty result cache, placeholder memo and
+edit-distance memo; within a repeat they stay warm across dictations,
+as in a daemon.
 
 Run as a script::
 
@@ -53,10 +57,12 @@ SPLIT_SEED = 8
 
 
 class SearchProbe:
-    """Counts kernel searches and times search calls of one pipeline."""
+    """Counts kernel searches and their nodes, and times search calls,
+    of one pipeline."""
 
     def __init__(self, speakql: SpeakQL) -> None:
         self.kernel_searches = 0
+        self.nodes_visited = 0
         self.search_seconds = 0.0
         engine = speakql._searcher
         search, uncached = engine.search, engine._search_uncached
@@ -71,14 +77,17 @@ class SearchProbe:
 
         def counted_uncached(masked, k):
             self.kernel_searches += 1
-            return uncached(masked, k)
+            results, stats = uncached(masked, k)
+            self.nodes_visited += stats.nodes_visited
+            return results, stats
 
         engine.search = timed_search
         engine._search_uncached = counted_uncached
 
-    def take(self) -> tuple[int, float]:
-        sample = (self.kernel_searches, self.search_seconds)
-        self.kernel_searches, self.search_seconds = 0, 0.0
+    def take(self) -> tuple[int, int, float]:
+        sample = (self.kernel_searches, self.nodes_visited, self.search_seconds)
+        self.kernel_searches, self.nodes_visited = 0, 0
+        self.search_seconds = 0.0
         return sample
 
 
@@ -127,7 +136,11 @@ def run(args: argparse.Namespace) -> dict:
     latency_ms = {side: [] for side in SIDES}
     repeat_p50_ms = {side: [] for side in SIDES}
     searches = {side: [] for side in SIDES}
+    nodes = {side: [] for side in SIDES}
     search_ms = {side: [] for side in SIDES}
+    # Placeholder-memo (hits, lookups) and (stage seconds, wall seconds).
+    memo = {side: [0, 0] for side in SIDES}
+    covered = {side: [0.0, 0.0] for side in SIDES}
     distinct: list[int] = []
     reference: list[tuple] | None = None
     for repeat in range(args.repeats):
@@ -135,16 +148,26 @@ def run(args: argparse.Namespace) -> dict:
         shift = repeat % len(SIDES)
         for side in SIDES[shift:] + SIDES[:shift]:
             speakql, probe = pipelines[side], probes[side]
+            determiner = speakql._determiner
             speakql._searcher._cache.clear()
+            determiner.cache_clear()
             char_edit_distance.cache_clear()
             answers, this_repeat = [], []
             for query in dictations:
+                before = determiner.cache_info()
                 start = clock()
                 output = speakql.query_from_speech(
                     query.sql, seed=query.seed, nbest=NBEST
                 )
-                elapsed_ms = 1000 * (clock() - start)
-                count, seconds = probe.take()
+                elapsed = clock() - start
+                elapsed_ms = 1000 * elapsed
+                after = determiner.cache_info()
+                memo[side][0] += after.hits - before.hits
+                memo[side][1] += (after.hits + after.misses
+                                  - before.hits - before.misses)
+                covered[side][0] += output.timings.total_seconds
+                covered[side][1] += elapsed
+                count, visited, seconds = probe.take()
                 if reference is None:
                     distinct.append(distinct_masked(speakql, output))
                 if side == "cached" and count > distinct[len(answers)]:
@@ -155,6 +178,7 @@ def run(args: argparse.Namespace) -> dict:
                 answers.append(answer(output))
                 this_repeat.append(elapsed_ms)
                 searches[side].append(count)
+                nodes[side].append(visited)
                 search_ms[side].append(1000 * seconds)
             if reference is None:
                 reference = answers
@@ -177,7 +201,10 @@ def run(args: argparse.Namespace) -> dict:
             "iqr_ms": q3 - q1,
             "repeat_p50_ms": repeat_p50_ms[side],
             "searches_per_dictation": statistics.fmean(searches[side]),
+            "nodes_visited_per_dictation": statistics.fmean(nodes[side]),
             "search_ms_per_dictation": statistics.fmean(search_ms[side]),
+            "memo_hit_ratio": memo[side][0] / max(memo[side][1], 1),
+            "stage_coverage": covered[side][0] / covered[side][1],
         })
     by_side = {row["side"]: row for row in rows}
     return {
@@ -214,8 +241,11 @@ def main(argv: list[str] | None = None) -> int:
                               encoding="utf-8")
     for row in report["rows"]:
         print(f"{row['side']:>9}: {row['searches_per_dictation']:.2f} kernel "
-              f"searches/dictation, {row['search_ms_per_dictation']:.1f} ms "
-              f"searching; e2e p50 {row['median_ms']:.1f} ms "
+              f"searches/dictation ({row['nodes_visited_per_dictation']:.0f} "
+              f"nodes), {row['search_ms_per_dictation']:.1f} ms "
+              f"searching, memo hits {row['memo_hit_ratio']:.2f}, stages "
+              f"cover {row['stage_coverage']:.1%}; "
+              f"e2e p50 {row['median_ms']:.1f} ms "
               f"(IQR {row['iqr_ms']:.1f}), p95 {row['p95_ms']:.1f} ms, "
               f"n={row['samples']}")
     print(f"distinct masked texts/dictation "

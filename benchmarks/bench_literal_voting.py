@@ -4,7 +4,10 @@ Dictates N seeded Employees test queries (n-best 5, runner-up
 structures included) through the full pipeline once, recording every
 ``literal_assignment`` / ``score_assignment`` call the literal
 determiner makes — the whole voting layer of paper Section 4.3.  The
-recorded calls are then replayed, in interleaved repeats, three ways:
+determiner's placeholder memo is cleared before each dictation, so a
+dictation records the votes of its own distinct placeholder windows
+whatever ran before it.  The recorded calls are then replayed, in
+interleaved repeats, three ways:
 
 - ``oracle`` — the full-table DP of ``tests/literal/oracle.py``
   patched into :mod:`repro.literal.voting` (the previous production
@@ -84,6 +87,7 @@ def record_calls(args: argparse.Namespace) -> list[list[tuple]]:
     try:
         for query in dictations:
             calls.clear()
+            speakql._determiner.cache_clear()
             speakql.query_from_speech(query.sql, seed=query.seed, nbest=NBEST)
             per_query.append(list(calls))
     finally:

@@ -11,16 +11,21 @@ Run as a script::
     PYTHONPATH=src python benchmarks/bench_search_perf.py \
         --max-tokens 20 --queries 100 --out BENCH_structure_search.json
 
-Emits a JSON report (queries/sec, median and p95 per-search latency,
-nodes visited, DP cells, compile time) per k, and exits non-zero when
-the compiled kernel's median speedup at the pipeline's default k falls
-below ``--min-speedup`` — which is how CI smoke-tests the fast path.
+Each kernel replays the query set ``--repeats`` times, interleaved
+with the other kernel so drift hits both.  Emits a JSON report per k
+(queries/sec, median and p95 per-search latency over every sample, the
+spread (IQR) of the per-repeat medians, and one pass's nodes visited,
+DP cells and candidates scored), plus compile time, ``nproc`` and
+repeats, and exits non-zero when the compiled kernel's median speedup
+at the pipeline's default k falls below ``--min-speedup`` — which is
+how CI smoke-tests the fast path.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import statistics
 import sys
@@ -75,30 +80,37 @@ def measure(
     engine: StructureSearchEngine,
     queries: list[tuple[str, ...]],
     k: int,
-) -> dict:
+) -> tuple[list[float], dict]:
+    """One pass over ``queries``: per-search seconds and work counters."""
     latencies = []
-    nodes = 0
-    cells = 0
-    candidates = 0
+    work = {"nodes_visited": 0, "dp_cells": 0, "candidates_scored": 0}
     for masked in queries:
         start = time.perf_counter()
         _, stats = engine.search(masked, k=k)
         latencies.append(time.perf_counter() - start)
-        nodes += stats.nodes_visited
-        cells += stats.dp_cells
-        candidates += stats.candidates_scored
-    total = sum(latencies)
-    latencies.sort()
+        for name in work:
+            work[name] += getattr(stats, name)
+    return latencies, work
+
+
+def summarize(passes: list[list[float]], work: dict) -> dict:
+    """Pooled latency figures plus the spread of the per-pass medians."""
+    pooled = sorted(s for latencies in passes for s in latencies)
+    medians = [statistics.median(latencies) * 1e3 for latencies in passes]
+    if len(medians) > 1:
+        q1, _, q3 = statistics.quantiles(medians, n=4, method="inclusive")
+    else:
+        q1 = q3 = medians[0]
+    total = sum(pooled)
     return {
-        "queries": len(queries),
-        "queries_per_sec": len(queries) / total,
-        "median_ms": statistics.median(latencies) * 1e3,
-        "p95_ms": latencies[min(len(latencies) - 1, int(len(latencies) * 0.95))]
-        * 1e3,
-        "total_s": total,
-        "nodes_visited": nodes,
-        "dp_cells": cells,
-        "candidates_scored": candidates,
+        "queries": len(passes[0]),
+        "queries_per_sec": len(pooled) / total,
+        "median_ms": statistics.median(pooled) * 1e3,
+        "p95_ms": pooled[min(len(pooled) - 1, int(len(pooled) * 0.95))] * 1e3,
+        "iqr_ms": q3 - q1,
+        "repeat_median_ms": medians,
+        "total_s": total / len(passes),
+        **work,
     }
 
 
@@ -124,6 +136,8 @@ def run(args: argparse.Namespace) -> dict:
         "structures": len(index),
         "node_count": index.node_count(),
         "seed": args.seed,
+        "repeats": args.repeats,
+        "nproc": os.cpu_count(),
         "index_build_s": build_s,
         "compile_s": compile_s,
         "level_plan_s": level_s,
@@ -131,15 +145,29 @@ def run(args: argparse.Namespace) -> dict:
         "results": {},
     }
     primary_k = ks[0]
+    kernels = ("reference", "compiled")
     for k in ks:
-        per_k = {}
-        for kernel in ("reference", "compiled"):
-            engine = StructureSearchEngine(
+        engines = {
+            kernel: StructureSearchEngine(
                 index, kernel=kernel, cache_results=False
             )
+            for kernel in kernels
+        }
+        for engine in engines.values():
             for masked in queries[: min(10, len(queries))]:
                 engine.search(masked, k=k)  # warm-up
-            per_k[kernel] = measure(engine, queries, k)
+        passes = {kernel: [] for kernel in kernels}
+        work = {}
+        for repeat in range(args.repeats):
+            # Interleave, rotating the order so drift hits both kernels.
+            shift = repeat % len(kernels)
+            for kernel in kernels[shift:] + kernels[:shift]:
+                latencies, work[kernel] = measure(engines[kernel], queries, k)
+                passes[kernel].append(latencies)
+        per_k = {
+            kernel: summarize(passes[kernel], work[kernel])
+            for kernel in kernels
+        }
         per_k["median_speedup"] = (
             per_k["reference"]["median_ms"] / per_k["compiled"]["median_ms"]
         )
@@ -160,11 +188,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="structure-generator token cap (index size)")
     parser.add_argument("--queries", type=int, default=100)
     parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="interleaved passes per kernel (default 3)")
     parser.add_argument("--out", default="BENCH_structure_search.json")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="exit non-zero if the primary median speedup "
                         "falls below this (CI gate)")
     args = parser.parse_args(argv)
+    if args.queries < 1 or args.repeats < 1:
+        parser.error("--queries and --repeats must be positive")
 
     report = run(args)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -18,6 +18,7 @@ from repro.core.pipeline import SpeakQL, SpeakQLConfig
 from repro.core.result import (
     LITERAL_STAGE,
     MASK_STAGE,
+    RUNNER_UP_STAGE,
     STRUCTURE_STAGE,
     TRANSCRIBE_STAGE,
     ComponentTimings,
@@ -45,4 +46,5 @@ __all__ = [
     "MASK_STAGE",
     "STRUCTURE_STAGE",
     "LITERAL_STAGE",
+    "RUNNER_UP_STAGE",
 ]

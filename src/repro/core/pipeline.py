@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 from repro.asr.engine import AsrResult, SimulatedAsrEngine
 from repro.asr.speakers import SpeakerProfile
 from repro.core.artifacts import SpeakQLArtifacts
-from repro.core.result import SpeakQLOutput
+from repro.core.result import RUNNER_UP_STAGE, SpeakQLOutput
 from repro.core.stages import (
     CorrectedQuery,
     LiteralStage,
@@ -195,6 +195,7 @@ class SpeakQL:
     _search_stage: StructureSearchStage = field(init=False, repr=False)
     _ranked_search_stage: StructureSearchStage = field(init=False, repr=False)
     _literal_stage: LiteralStage = field(init=False, repr=False)
+    _runner_up_stage: "RunnerUpStage" = field(init=False, repr=False)
     _transcribe_stage: TranscribeStage = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -237,6 +238,7 @@ class SpeakQL:
             searcher=self._searcher, k=max(self.config.top_k, 1)
         )
         self._literal_stage = LiteralStage(determiner=self._determiner)
+        self._runner_up_stage = RunnerUpStage(speakql=self)
 
     def _build_artifacts(self) -> SpeakQLArtifacts:
         """Resolve the compiled assets this facade was configured with."""
@@ -304,6 +306,10 @@ class SpeakQL:
         is searched once at ``config.top_k``: its best match drives the
         rank-0 correction and the same ranked matches supply the
         runner-ups, so each distinct masked text is searched once.
+
+        The output's ``timings`` sum every alternative's stages plus the
+        runner-up decodes (:data:`RUNNER_UP_STAGE`), so they account for
+        the whole query; its ``search_stats`` are rank 0's.
         """
         if ctx is None:
             ctx = QueryContext(tracer=self.tracer, metrics=self.metrics)
@@ -327,25 +333,22 @@ class SpeakQL:
                 if text == asr.text:
                     ranked = matches
                 top = corrected
-                ctx.merge(step_ctx)
             else:
                 corrected = self._correct_one(text, step_ctx)
+                step_ctx.search_stats = None  # the output reports rank 0's
+            # Every alternative's stage time counts toward the query's.
+            ctx.merge(step_ctx)
             if corrected.sql and corrected.sql not in queries:
                 queries.append(corrected.sql)
         if len(queries) < self.config.top_k:
             # Diversify with runner-up *structures* for the top ASR text
             # (the n-best list often differs only in literals, so its
             # corrections collapse to few distinct queries).
-            if ranked is None:
-                # No rank-0 alternative equal to the top text (an empty
-                # or hand-built n-best list): search the top text here.
-                ranked = run_stages(
-                    [self._mask_stage, self._ranked_search_stage],
-                    asr.text,
-                    QueryContext(tracer=ctx.tracer, deadline=ctx.deadline),
-                )
             skip = top.structure if top is not None else None
-            for candidate in self._structure_alternatives(ranked, skip, ctx):
+            runner_ups = run_stages(
+                [self._runner_up_stage], (asr.text, ranked, skip), ctx
+            )
+            for candidate in runner_ups:
                 if candidate and candidate not in queries:
                     queries.append(candidate)
                 if len(queries) >= self.config.top_k:
@@ -442,3 +445,29 @@ class SpeakQL:
             )
             out.append(literals.sql())
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class RunnerUpStage:
+    """Runner-up structure decodes of the top transcription, timed as
+    the query's ``runner_up`` stage.
+
+    Takes ``(top_text, ranked, skip)``: ``ranked`` is the rank-0 search
+    when the rank-0 alternative is the top text, else ``None`` and the
+    top text is searched here (an empty or hand-built n-best list);
+    ``skip`` is the structure the rank-0 correction already used.
+    """
+
+    speakql: SpeakQL
+    name: str = RUNNER_UP_STAGE
+
+    def run(self, value, ctx: QueryContext) -> list[str]:
+        text, ranked, skip = value
+        speakql = self.speakql
+        if ranked is None:
+            ranked = run_stages(
+                [speakql._mask_stage, speakql._ranked_search_stage],
+                text,
+                QueryContext(tracer=ctx.tracer, deadline=ctx.deadline),
+            )
+        return speakql._structure_alternatives(ranked, skip, ctx)

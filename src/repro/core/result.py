@@ -14,6 +14,9 @@ from repro.structure.search import SearchResult, SearchStats
 TRANSCRIBE_STAGE = "transcribe"
 MASK_STAGE = "mask"
 STRUCTURE_STAGE = "structure_search"
+#: Literal determination of the runner-up structures that pad a speech
+#: query's candidate list (see ``SpeakQL.process_asr_result``).
+RUNNER_UP_STAGE = "runner_up"
 
 
 class ComponentTimings:

@@ -14,9 +14,12 @@ everything with the narrowed candidate sets.
 from __future__ import annotations
 
 import datetime
+import threading
 import time
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import DeadlineExceededError
 from repro.grammar.categorizer import LiteralCategory, assign_categories
@@ -39,6 +42,11 @@ from repro.sqlengine.catalog import Catalog
 #: :mod:`repro.core.result` with the other stage names); a deadline
 #: that expires mid-walk is reported against it.
 LITERAL_STAGE = "literal_determination"
+
+#: Entries kept by each determiner's placeholder memo (least recently
+#: used first out).  A dictation resolves a few dozen placeholders, so
+#: this holds a long-lived daemon's recent traffic several times over.
+PLACEHOLDER_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -83,9 +91,39 @@ class LiteralResult:
         return " ".join(self.tokens)
 
 
+@dataclass(frozen=True)
+class _Resolution:
+    """One memoized placeholder: the literal plus the vote summary its
+    forensic :class:`PlaceholderTrace` is rebuilt from on every use."""
+
+    literal: FilledLiteral
+    ranking: tuple[str, ...] = ()
+    votes: tuple[tuple[str, int], ...] = ()
+    pool_size: int = 0
+    typed: bool = False
+
+
+class MemoInfo(NamedTuple):
+    """Placeholder-memo counters, shaped like ``functools``' cache info."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
 @dataclass
 class LiteralDeterminer:
-    """Binds placeholders of a structure to database literals."""
+    """Binds placeholders of a structure to database literals.
+
+    Each placeholder resolution is memoized (bounded LRU, thread-safe)
+    on every input it depends on, so a window that n-best ranks, both
+    walks and runner-up structures share is voted once per determiner,
+    not once per use.  The memo is exact: a hit returns the same
+    :class:`FilledLiteral` and rebuilds the same forensic trace a fresh
+    vote would.  :meth:`cache_info` / :meth:`cache_clear` expose it like
+    ``functools.lru_cache``.
+    """
 
     catalog: Catalog
     index: PhoneticIndex | None = None
@@ -106,6 +144,14 @@ class LiteralDeterminer:
         default=time.perf_counter, repr=False, compare=False
     )
     _column_types: dict[str, str] = field(default_factory=dict, repr=False)
+    _memo: OrderedDict = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
+    _memo_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+    _memo_hits: int = field(default=0, init=False, repr=False, compare=False)
+    _memo_misses: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index is None:
@@ -182,6 +228,20 @@ class LiteralDeterminer:
                 record.placeholders = trace
             return LiteralResult(structure=structure, literals=second)
 
+    def cache_info(self) -> MemoInfo:
+        """Hits, misses and size of the placeholder memo."""
+        with self._memo_lock:
+            return MemoInfo(
+                self._memo_hits, self._memo_misses,
+                PLACEHOLDER_MEMO_SIZE, len(self._memo),
+            )
+
+    def cache_clear(self) -> None:
+        """Empty the placeholder memo and reset its counters."""
+        with self._memo_lock:
+            self._memo.clear()
+            self._memo_hits = self._memo_misses = 0
+
     # -- walk ------------------------------------------------------------------
 
     def _walk(
@@ -256,46 +316,88 @@ class LiteralDeterminer:
         numeric_only: bool = False,
         trace: list | None = None,
     ) -> FilledLiteral:
+        """Resolve one placeholder through the memo; append its forensic
+        trace when ``trace`` is a list.
+
+        The key holds every input the resolution reads: the window's
+        tokens and bounds, the placeholder index (it lands on the
+        literal), category, value type, narrowed tables, the numeric
+        restriction, and the determiner settings that shape the vote.
+        """
+        window_tokens = tuple(tokens[begin:end])
+        key = (
+            window_tokens, begin, end, idx, category, value_type,
+            None if tables is None else tuple(tables), numeric_only,
+            self.window_size, self.window_strategy, self.top_k,
+        )
+        memo = self._memo
+        with self._memo_lock:
+            resolution = memo.get(key)
+            if resolution is not None:
+                memo.move_to_end(key)
+                self._memo_hits += 1
+            else:
+                self._memo_misses += 1
+        if resolution is None:
+            resolution = self._vote_placeholder(
+                tokens, begin, end, idx, category, value_type, tables,
+                numeric_only,
+            )
+            with self._memo_lock:
+                memo[key] = resolution
+                memo.move_to_end(key)
+                while len(memo) > PLACEHOLDER_MEMO_SIZE:
+                    memo.popitem(last=False)
+        literal = resolution.literal
+        if trace is not None:
+            trace.append(
+                PlaceholderTrace(
+                    index=idx,
+                    category=category.name,
+                    window=literal.window,
+                    window_tokens=window_tokens,
+                    chosen=literal.text,
+                    value_type=literal.value_type,
+                    typed=resolution.typed,
+                    ranking=resolution.ranking,
+                    votes=dict(resolution.votes),
+                    pool_size=resolution.pool_size,
+                )
+            )
+        return literal
+
+    def _vote_placeholder(
+        self,
+        tokens: list[str],
+        begin: int,
+        end: int,
+        idx: int,
+        category: LiteralCategory,
+        value_type: str | None,
+        tables: list[str] | None,
+        numeric_only: bool,
+    ) -> _Resolution:
+        """Resolve one placeholder from scratch (Box 3's vote, or a typed
+        recovery), with the vote summary its forensic trace needs."""
         assert self.index is not None
         window_tokens = tokens[begin:end]
 
-        def emit(
-            literal: FilledLiteral,
-            outcome=None,
-            pool: int = 0,
+        def resolved(
+            literal: FilledLiteral, outcome=None, pool: int = 0,
             typed: bool = False,
-        ) -> FilledLiteral:
-            """Append the placeholder's forensics trace, when asked."""
-            if trace is not None:
-                ranking: tuple[str, ...] = ()
-                votes: dict[str, int] = {}
-                if outcome is not None:
-                    ranking = tuple(outcome.top(8))
-                    votes = {
-                        lit: outcome.votes.get(lit, 0) for lit in ranking
-                    }
-                trace.append(
-                    PlaceholderTrace(
-                        index=idx,
-                        category=category.name,
-                        window=literal.window,
-                        window_tokens=tuple(window_tokens),
-                        chosen=literal.text,
-                        value_type=literal.value_type,
-                        typed=typed,
-                        ranking=ranking,
-                        votes=votes,
-                        pool_size=pool,
-                    )
-                )
-            return literal
+        ) -> _Resolution:
+            if outcome is None:
+                return _Resolution(literal, pool_size=pool, typed=typed)
+            ranking = tuple(outcome.top(8))
+            votes = tuple((lit, outcome.votes.get(lit, 0)) for lit in ranking)
+            return _Resolution(literal, ranking, votes, pool, typed)
 
         if category is LiteralCategory.VALUE:
             typed = self._resolve_typed_value(
                 window_tokens, begin, idx, value_type
             )
             if typed is not None:
-                return emit(typed, typed=True)
+                return resolved(typed, typed=True)
             if value_type in ("int", "float"):
                 # Numeric slot with no numeric evidence (e.g. ASR lost the
                 # LIMIT count): emit a syntactically valid default the
@@ -303,7 +405,7 @@ class LiteralDeterminer:
                 fallback = next(
                     (t for t in window_tokens if is_number_token(t)), "1"
                 )
-                return emit(
+                return resolved(
                     FilledLiteral(
                         index=idx,
                         category=category,
@@ -335,7 +437,7 @@ class LiteralDeterminer:
         winner = outcome.winner
         if winner is not None and segments:
             consumed = outcome.location + 1 if outcome.location >= begin else begin + 1
-            return emit(
+            return resolved(
                 FilledLiteral(
                     index=idx,
                     category=category,
@@ -353,7 +455,7 @@ class LiteralDeterminer:
         raw = window_tokens[0] if window_tokens else ""
         if not raw and category is not LiteralCategory.VALUE and candidates:
             raw = min(candidates, key=lambda e: e.literal.lower()).literal
-        return emit(
+        return resolved(
             FilledLiteral(
                 index=idx,
                 category=category,

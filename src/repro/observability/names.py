@@ -27,6 +27,8 @@ SPAN_NAMES: dict[str, str] = {
     "stage.mask": "SplChar handling + literal masking of one transcription.",
     "stage.structure_search": "Similarity search over the structure index.",
     "stage.literal_determination": "Placeholder filling via phonetic voting.",
+    "stage.runner_up": "Literal determination of the runner-up structures "
+                       "that pad a speech query's candidate list.",
     "literal.determine": "The full LiteralFinder walk for one structure.",
     "literal.walk": "One pass of the walk (phase 1: category candidate "
                     "sets; phase 2: table-narrowed candidates).",
@@ -280,7 +282,8 @@ METRIC_LABELS: dict[str, str] = {
     "mode": f"`{QUERIES_TOTAL}`: `speech` or `transcription`.",
     "stage": f"`{STAGE_SECONDS}`: the `PipelineStage.name` "
              "(`transcribe`, `mask`, `structure_search`, "
-             f"`literal_determination`); `{SERVING_BREAKER_STATE}` and "
+             "`literal_determination`, `runner_up`); "
+             f"`{SERVING_BREAKER_STATE}` and "
              f"`{SERVING_BREAKER_TRIPS_TOTAL}`: the ladder-rung name "
              "the breaker guards.",
     "outcome": f"`{SERVING_OUTCOMES_TOTAL}`: the response outcome "

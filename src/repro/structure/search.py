@@ -16,9 +16,13 @@ Three search kernels produce bit-identical results:
   level with numpy while keeping the sequential per-position recurrence,
   so each cell sees exactly the arithmetic (same operations, same order)
   the reference performs — distances are bit-identical, not just close.
-  It trades the node-level branch-and-bound prune for trie-level BDB
+  It trades the node-level branch-and-bound prune for a per-level one
   plus C-speed columns, which is a large net win (see
-  ``benchmarks/bench_search_perf.py``).  Because it forgoes the
+  ``benchmarks/bench_search_perf.py``).  With BDB on it also applies
+  Proposition 1 *per cell*: a trie holds structures of one length
+  ``L``, so every completion through DP cell ``(i, d)`` costs at least
+  ``D[i] + |(m - i) - (L - d)| * w_min``; that bound narrows the DP band
+  and drives the column-minimum prune.  Because it forgoes the
   depth-first walk it cannot reproduce DAP's traversal-dependent tie
   order, so engines with ``use_dap`` drop to the flat kernel.
 - ``kernel="flat"`` is the scalar lowering: a depth-first walk over the
@@ -44,6 +48,7 @@ available as flags:
 from __future__ import annotations
 
 import copy
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -56,6 +61,14 @@ from repro.structure.indexer import StructureIndex
 from repro.structure.trie import TrieNode
 
 _INF = float("inf")
+
+
+def _slack(cut: float) -> float:
+    """Relative tolerance on comparisons against a prune cutoff: float
+    rounding in the bound arithmetic may then only keep work, never
+    drop a cell or row whose exact value ties the cutoff."""
+    return 1e-9 * (1.0 + cut)
+
 
 #: Search-kernel names (see module docstring).
 KERNEL_COMPILED = "compiled"
@@ -85,10 +98,11 @@ class SearchStats:
     All counters measure *work actually done*, so their values are
     kernel-specific: ``flat`` and ``reference`` agree exactly (same
     depth-first walk, same prunes), while the level-synchronous
-    ``compiled`` kernel computes every column of each searched trie
-    (no node-level prune) and therefore reports higher
-    ``nodes_visited`` / ``dp_cells`` / ``candidates_scored`` for the
-    same bit-identical results.  ``tries_searched`` / ``tries_skipped``
+    ``compiled`` kernel prunes per level instead of per node and, with
+    ``use_bdb``, with the per-cell length bound, so its
+    ``nodes_visited`` / ``dp_cells`` / ``candidates_scored`` differ
+    from theirs (higher or lower, by query and ``k``) for the same
+    bit-identical results.  ``tries_searched`` / ``tries_skipped``
     agree across all three kernels.
 
     ``levels_visited`` / ``rows_pruned`` / ``beam_bound_updates`` are
@@ -176,7 +190,10 @@ class StructureSearchEngine:
     max_cached_results / max_inv_subindexes:
         LRU bounds on the per-engine result cache and the per-keyword
         INV subindex cache, so long-running service batches cannot grow
-        memory without limit.
+        memory without limit.  Both LRUs sit behind one lock, so threads
+        sharing an engine (the daemon's dispatch threads) never see an
+        entry evicted between a lookup and its recency update; searches
+        themselves run outside the lock.
     executor:
         Optional sharded fan-out executor (duck-typed; see
         :class:`repro.core.shards.ShardedSearchExecutor`).  When set —
@@ -199,6 +216,9 @@ class StructureSearchEngine:
     executor: object | None = None
     _cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _inv_subindexes: OrderedDict = field(default_factory=OrderedDict, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kernel not in (KERNEL_COMPILED, KERNEL_FLAT, KERNEL_REFERENCE):
@@ -230,19 +250,28 @@ class StructureSearchEngine:
         masked = tuple(masked)
         k = max(k, 1)
         if self.cache_results:
-            cached = self._cache.get(masked)
-            if cached is not None and cached[0] >= k:
-                self._cache.move_to_end(masked)
+            with self._lock:
+                cached = self._cache.get(masked)
+                if cached is not None and cached[0] >= k:
+                    self._cache.move_to_end(masked)
+                else:
+                    cached = None
+            if cached is not None:
                 width, results, stats = cached
                 hit_stats = copy.copy(stats)
                 hit_stats.result_cache_hit = True
                 return (results if width == k else results[:k]), hit_stats
         results, stats = self._search_uncached(masked, k)
         if self.cache_results:
-            self._cache[masked] = (k, results, stats)
-            self._cache.move_to_end(masked)
-            while len(self._cache) > self.max_cached_results:
-                self._cache.popitem(last=False)
+            with self._lock:
+                current = self._cache.get(masked)
+                # Another thread may have cached a wider search meanwhile;
+                # the entry keeps the widest k.
+                if current is None or current[0] <= k:
+                    self._cache[masked] = (k, results, stats)
+                self._cache.move_to_end(masked)
+                while len(self._cache) > self.max_cached_results:
+                    self._cache.popitem(last=False)
         return results, stats
 
     def search_span(
@@ -304,18 +333,22 @@ class StructureSearchEngine:
                 best_keyword, best_size = token.upper(), len(postings)
         if best_keyword is None:
             return None
-        subindex = self._inv_subindexes.get(best_keyword)
-        if subindex is None:
-            stats.inv_cache_builds += 1
-            subindex = StructureIndex.from_structures(
-                self.index.inverted[best_keyword]
-            )
+        with self._lock:
+            subindex = self._inv_subindexes.get(best_keyword)
+            if subindex is not None:
+                self._inv_subindexes.move_to_end(best_keyword)
+        if subindex is not None:
+            stats.inv_cache_hits += 1
+            return subindex
+        stats.inv_cache_builds += 1
+        subindex = StructureIndex.from_structures(
+            self.index.inverted[best_keyword]
+        )
+        with self._lock:
             self._inv_subindexes[best_keyword] = subindex
+            self._inv_subindexes.move_to_end(best_keyword)
             while len(self._inv_subindexes) > self.max_inv_subindexes:
                 self._inv_subindexes.popitem(last=False)
-        else:
-            stats.inv_cache_hits += 1
-            self._inv_subindexes.move_to_end(best_keyword)
         return subindex
 
     def _search_index(
@@ -376,19 +409,32 @@ class StructureSearchEngine:
         (a masked copy for matches, one add + one min otherwise), so
         distances are bit-identical.  Box 2's column-minimum prune is
         applied per *level* — rows whose minimum exceeds the best-so-far
-        are compacted away before the next level — which prunes a subset
-        of what the depth-first reference prunes (the threshold here
-        only tightens at trie boundaries), never more.  Surviving
-        terminals are offered in reversed level order — the same
-        left-to-right mirror the reference's stack walk uses — which
-        yields the identical top-k: every terminal this kernel scores
-        but the reference pruned is strictly worse than the final
-        threshold, and tie acceptance at the threshold depends only on
-        the shared offer order of the remaining candidates.
+        are compacted away before the next level.  With ``use_bdb`` the
+        band and that minimum use the per-cell length bound
+        ``D[i] + |(m - i) - (L - d)| * w_min`` (Proposition 1 applied to
+        each cell of a length-``L`` trie), so a row is dropped only when
+        none of its completions can reach the cutoff; without BDB they
+        use the plain ``|i - d| * w_min`` band and ``min_i D[i]``, so
+        the BDB ablation switches the per-cell term off too.  Either way
+        every dropped cell or row is strictly worse than the cutoff
+        (comparisons carry a tiny relative slack, so float rounding can
+        only keep work).  Surviving terminals are offered in reversed
+        level order — the same left-to-right mirror the reference's
+        stack walk uses — which yields the identical top-k: every
+        terminal one kernel scores and the other prunes is strictly
+        worse than the final threshold, and tie acceptance at the
+        threshold depends only on the shared offer order of the
+        remaining candidates.
         """
         m = len(masked)
         m1 = m + 1
         min_literal_weight = self.weights.min_weight
+        # Proposition 1 per cell: every trie holds structures of exactly
+        # one length, so any completion through cell (i, d) costs at
+        # least D[i] + |(m - i) - (L - d)| * w_min.  Gated on ``use_bdb``
+        # (it *is* BDB, applied per cell), so the ablation without BDB
+        # keeps the plain band and column-minimum prune.
+        cell_bound = self.use_bdb and min_literal_weight > 0
         token_ids = compiled.token_ids
         mw = np.array([self.weights.of(t) for t in masked], dtype=np.float64)
         # match_tab[i, tid]: does masked position i hold interned token tid?
@@ -400,13 +446,20 @@ class StructureSearchEngine:
         first_col = np.empty(m1, dtype=np.float64)
         first_col[0] = 0.0
         np.add.accumulate(mw, out=first_col[1:])
+        order_lengths = self._search_order(m, compiled.lengths)
+        # ramp[j] = |j - m| * w_min: at depth d of a length-L trie the
+        # suffix bound of band rows blo..hi is ramp[blo+L-d : hi+L-d+1].
+        max_length = max(order_lengths, default=0)
+        ramp = np.abs(np.arange(m + max_length + 1, dtype=np.float64) - m)
+        ramp *= min_literal_weight
+        ramp = ramp.reshape(-1, 1)
         sentences = compiled.sentences
         threshold = top.threshold
         offer = top.offer
         mask_weights = list(mw)
         masked_ids = [token_ids.get(t, -1) for t in masked]
         buf = np.empty(0, dtype=np.float64)
-        cbuf = np.empty(0, dtype=np.float64)
+        pbuf = np.empty(0, dtype=np.float64)
         # Upper bound on the final k-th best distance, seeded by a cheap
         # scalar beam probe of the first searched trie.  Pruning against
         # it (never offering with it) is exact: a row whose column
@@ -415,7 +468,7 @@ class StructureSearchEngine:
         # only the true threshold so ``tries_*`` stats match the
         # reference exactly.
         bound = _INF
-        for length in self._search_order(m, compiled.lengths):
+        for length in order_lengths:
             lower = abs(m - length) * min_literal_weight
             if self.use_bdb and lower >= threshold():
                 stats.tries_skipped += 1
@@ -429,19 +482,38 @@ class StructureSearchEngine:
                 if bound != _INF:
                     stats.beam_bound_updates += 1
             # DP band for this trie: a cell at masked position i and trie
-            # depth d has true value >= |i - d| * min_weight, so cells
-            # outside the band can keep their insert-only initialization
-            # (an upper bound); every cell whose true value is <= the
-            # band cutoff stays bit-exact because a <=-cutoff path never
-            # leaves the band.  Offers are filtered to values <= the
-            # cutoff below, which loses nothing: all true top-k
-            # distances are.  Thresholds only tighten mid-trie, so the
-            # cutoff fixed here stays valid for the whole trie.
+            # depth d has true value >= |i - d| * min_weight (and, with
+            # the per-cell bound, every completion through it costs at
+            # least (|i - d| + |(m - i) - (L - d)|) * min_weight), so
+            # cells whose bound exceeds the band cutoff can keep their
+            # insert-only initialization (an upper bound); every cell on
+            # a path of true value <= the cutoff stays bit-exact because
+            # such a path never leaves the band.  Offers are filtered to
+            # values <= the cutoff below, which loses nothing: all true
+            # top-k distances are.  Thresholds only tighten mid-trie, so
+            # the cutoff fixed here stays valid for the whole trie.
             band_cut = threshold()
             if bound < band_cut:
                 band_cut = bound
             banded = band_cut != _INF and min_literal_weight > 0
-            delta = int(band_cut / min_literal_weight) if banded else 0
+            if banded:
+                # Integer band half-width; the slack lets float rounding
+                # only widen the band, never drop a cell at the cutoff.
+                delta = int((band_cut + _slack(band_cut)) / min_literal_weight)
+                if cell_bound:
+                    # |i - d| + |i - c| <= delta with c = d + (m - L):
+                    # rows between d and c cost |m - L| and each row
+                    # beyond them 2 more, so the band is [d + lo_off,
+                    # d + hi_off], and empty when |m - L| > delta.
+                    gap = abs(m - length)
+                    if gap > delta:
+                        continue
+                    ext = (delta - gap) // 2
+                    lo_off = min(0, m - length) - ext
+                    hi_off = max(0, m - length) + ext
+                else:
+                    lo_off = -delta
+                    hi_off = delta
             node_weight = np.frombuffer(trie.node_weight)
             prev = first_col.reshape(m1, 1)
             # Static rows of the previous level whose columns survived,
@@ -476,10 +548,10 @@ class StructureSearchEngine:
                 width = len(order)
                 stats.levels_visited += 1
                 if banded:
-                    blo = depth - delta
+                    blo = depth + lo_off
                     if blo < 0:
                         blo = 0
-                    hi = depth + delta
+                    hi = depth + hi_off
                     if hi > m:
                         hi = m
                     if blo > hi:
@@ -496,28 +568,15 @@ class StructureSearchEngine:
                 match = match_tab[:, token_id]
                 if len(buf) < width:
                     buf = np.empty(width, dtype=np.float64)
-                    cbuf = np.empty(width, dtype=np.float64)
                 dele = buf[:width]
                 rows = list(col)
                 parent_rows = list(parent)
                 match_rows = list(match)
-                lo = blo if blo > 0 else 1
-                # Running minimum over the band rows, maintained inline
-                # so the prune below never re-reduces a strided column.
-                cmin = cbuf[:width]
-                have_cmin = blo == 0
-                if have_cmin:
-                    np.copyto(cmin, rows[0])
-                for i in range(lo, hi + 1):
+                for i in range(blo if blo > 0 else 1, hi + 1):
                     row = rows[i]
                     np.add(rows[i - 1], mask_weights[i - 1], out=dele)
                     np.minimum(row, dele, out=row)
                     np.copyto(row, parent_rows[i - 1], where=match_rows[i - 1])
-                    if have_cmin:
-                        np.minimum(cmin, row, out=cmin)
-                    else:
-                        np.copyto(cmin, row)
-                        have_cmin = True
                 stats.nodes_visited += width
                 stats.dp_cells += width * m1
                 if level.has_terminals:
@@ -550,14 +609,28 @@ class StructureSearchEngine:
                 # against the tighter of the true threshold and the
                 # seeded bound.  The minimum is taken over band rows
                 # only: a completion with true distance <= the cut runs
-                # through a cell whose true value is <= the cut <= the
+                # through a cell whose true value (plus, with the
+                # per-cell bound, its suffix bound) is <= the cut <= the
                 # band cutoff, and such a cell is in-band and computed
                 # exactly, so it is seen here.
                 cut = threshold()
                 if bound < cut:
                     cut = bound
                 if cut != _INF:
-                    keep = cmin <= cut
+                    band_rows = col[blo : hi + 1]
+                    if cell_bound:
+                        size = band_rows.size
+                        if len(pbuf) < size:
+                            pbuf = np.empty(size, dtype=np.float64)
+                        shift = length - depth
+                        bounded = pbuf[:size].reshape(band_rows.shape)
+                        np.add(
+                            band_rows,
+                            ramp[blo + shift : hi + shift + 1],
+                            out=bounded,
+                        )
+                        band_rows = bounded
+                    keep = band_rows.min(axis=0) <= cut + _slack(cut)
                     kidx = keep.nonzero()[0]
                     if kidx.size == 0:
                         stats.rows_pruned += width

@@ -9,7 +9,7 @@ from repro.asr.channel import NOISELESS, AcousticChannel
 from repro.asr.engine import AsrResult, SimulatedAsrEngine, make_custom_engine
 from repro.asr.language_model import LanguageModel
 from repro.core import SpeakQL, SpeakQLConfig
-from repro.core.result import LITERAL_STAGE
+from repro.core.result import LITERAL_STAGE, RUNNER_UP_STAGE
 from repro.core.stages import QueryContext, StructureSearchStage, run_stages
 from repro.errors import DeadlineExceededError
 from repro.grammar.generator import StructureGenerator
@@ -235,6 +235,53 @@ class TestRunnerUpDeadline:
             fresh._structure_alternatives(ranked, None, ctx)
         assert info.value.stage == LITERAL_STAGE
         assert len(reads) == 4
+
+
+class TestStageBreakdown:
+    """``SpeakQLOutput.timings`` accounts for the whole dictation: every
+    n-best alternative's stages plus the runner-up decodes."""
+
+    SQLS = (
+        "SELECT AVG ( salary ) FROM Salaries",
+        "SELECT FirstName FROM Employees WHERE Gender = 'M'",
+        "SELECT LastName FROM Employees natural join Salaries",
+        "SELECT salary FROM Salaries WHERE salary > 70000",
+    )
+
+    def test_stages_cover_the_query_wall_time(self, pipeline):
+        covered = wall = 0.0
+        for seed in range(8):
+            for sql in self.SQLS:
+                start = time.perf_counter()
+                out = pipeline.query_from_speech(sql, seed=seed, nbest=5)
+                wall += time.perf_counter() - start
+                covered += out.timings.total_seconds
+        assert covered >= 0.95 * wall, (covered, wall)
+
+    def test_runner_ups_have_their_own_stage(self, pipeline, monkeypatch):
+        calls = []
+        original = SpeakQL._structure_alternatives
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpeakQL, "_structure_alternatives", spy)
+        out = pipeline.query_from_speech(self.SQLS[3], seed=5, nbest=5)
+        assert calls, "the runner-up path must run for this dictation"
+        assert out.timings.stage_seconds(RUNNER_UP_STAGE) > 0
+
+    def test_search_stats_stay_rank_zeros(self, pipeline):
+        fresh = SpeakQL(
+            pipeline.catalog, engine=pipeline.engine,
+            structure_index=pipeline.structure_index,
+        )
+        sql, seed = self.SQLS[1], 11
+        one = fresh.query_from_speech(sql, seed=seed, nbest=1)
+        five = fresh.query_from_speech(sql, seed=seed, nbest=5)
+        assert len(five.asr_alternatives) > 1
+        assert five.asr_alternatives[0] == one.asr_alternatives[0]
+        assert five.search_stats == one.search_stats
 
 
 class TestCorrectTranscription:

@@ -139,3 +139,54 @@ class TestKernelParity:
             assert stats.nodes_visited > 0
             assert stats.dp_cells > 0
             assert stats.candidates_scored > 0
+
+
+def _length_offset_queries(index, rng, count):
+    """Index sentences edited to lie 0-4 tokens away from a trie length.
+
+    The per-cell length bound of the compiled kernel depends on how far
+    the query length is from each trie's length, so the sweep walks that
+    gap explicitly: each query starts from a structure of length ``L``
+    and is grown or shrunk to ``L + offset`` with ``|offset| <= 4``,
+    with a few same-length substitutions mixed in.
+    """
+    sentences = [s for t in index.tries.values() for s in t.sentences()]
+    vocab = ["SELECT", "FROM", "WHERE", "x", "=", "<", ">", ",", "(", ")",
+             "AVG", "COUNT", "AND", "OR", "LIMIT", "ORDER", "BY", "NATURAL"]
+    queries = []
+    for _ in range(count):
+        tokens = list(rng.choice(sentences))
+        offset = rng.randint(-4, 4)
+        for _ in range(rng.randint(0, 2)):
+            tokens[rng.randrange(len(tokens))] = rng.choice(vocab)
+        for _ in range(abs(offset)):
+            if offset > 0:
+                tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(vocab))
+            elif tokens:
+                tokens.pop(rng.randrange(len(tokens)))
+        queries.append(tuple(tokens))
+    return queries
+
+
+class TestPerCellLengthBound:
+    """The compiled kernel's per-cell bound ``D[i] + |(m-i)-(L-d)|*w_min``
+    narrows its band and prunes rows; it must never change a result."""
+
+    @pytest.mark.parametrize("decimals", [1, 2])
+    @pytest.mark.parametrize(
+        "flags", FLAG_COMBOS, ids=lambda f: "-".join(
+            name for name, on in f.items() if on
+        ) or "none",
+    )
+    def test_random_weights_and_length_gaps(self, small_index, flags, decimals):
+        rng = random.Random(1000 * decimals + len(str(flags)))
+        for _ in range(3):
+            weights = TokenWeights(
+                keyword=round(rng.uniform(0.3, 3.0), decimals),
+                splchar=round(rng.uniform(0.3, 3.0), decimals),
+                literal=round(rng.uniform(0.3, 3.0), decimals),
+            )
+            ref, flat, comp = _engines(small_index, weights=weights, **flags)
+            for masked in _length_offset_queries(small_index, rng, 6):
+                for k in KS:
+                    _assert_parity(ref, flat, comp, masked, k)

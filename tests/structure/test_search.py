@@ -1,6 +1,9 @@
 """Tests for the structure search engine (Box 2, BDB, DAP, INV)."""
 
 import random
+import sys
+import threading
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +189,105 @@ class TestCache:
         # Only the most recent keyword's subindex is retained.
         assert len(engine._inv_subindexes) == 1
         assert "LIMIT" not in engine._inv_subindexes
+
+
+class _EvictOnHit(OrderedDict):
+    """An LRU map whose next hit lets another thread run ``work`` before
+    ``get`` returns — the interleaving in which a thread sharing the
+    engine evicts the key between a lookup and its recency update.  The
+    helper thread gets half a second: an engine that guards the LRU
+    keeps it blocked until the hit is done, an unguarded one lets it
+    finish."""
+
+    def __init__(self, work):
+        super().__init__()
+        self.work = work
+        self.armed = False
+        self.helper = None
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if self.armed and value is not None:
+            self.armed = False
+            self.helper = threading.Thread(target=self.work)
+            self.helper.start()
+            self.helper.join(timeout=0.5)
+        return value
+
+
+class TestCacheThreadSafety:
+    def test_result_hit_survives_concurrent_eviction(self, small_index):
+        engine = StructureSearchEngine(small_index, max_cached_results=2)
+        a = tuple("SELECT x FROM x".split())
+        others = [tuple("SELECT x FROM x WHERE x = x".split()),
+                  tuple("SELECT x FROM x LIMIT x".split())]
+        expected, _ = engine.search(a)
+        lru = _EvictOnHit(lambda: [engine.search(o) for o in others])
+        lru.update(engine._cache)
+        engine._cache = lru
+        lru.armed = True
+        results, stats = engine.search(a)
+        lru.helper.join()
+        assert results == expected
+        assert stats.result_cache_hit
+        assert len(engine._cache) == 2
+
+    def test_inv_hit_survives_concurrent_eviction(self, small_index):
+        engine = StructureSearchEngine(
+            small_index, use_inv=True, cache_results=False, max_inv_subindexes=1
+        )
+        limit = tuple("SELECT x FROM x LIMIT x".split())
+        group = tuple("SELECT x FROM x GROUP BY x".split())
+        expected, _ = engine.search(limit)
+        lru = _EvictOnHit(lambda: engine.search(group))
+        lru.update(engine._inv_subindexes)
+        engine._inv_subindexes = lru
+        lru.armed = True
+        results, stats = engine.search(limit)
+        lru.helper.join()
+        assert results == expected
+        assert stats.inv_cache_hits == 1
+        assert len(engine._inv_subindexes) == 1
+
+
+class TestCacheStress:
+    def test_threads_sharing_a_tiny_lru(self, small_index):
+        # More threads than cores, a short switch interval and two cache
+        # slots for three keys: lookups race evictions constantly.
+        keys = [tuple(text.split()) for text in (
+            "SELECT x FROM x", "SELECT x FROM x LIMIT x",
+            "SELECT x FROM x WHERE x = x",
+        )]
+        expected = {
+            key: StructureSearchEngine(small_index).search(key, k=2)[0]
+            for key in keys
+        }
+        engine = StructureSearchEngine(small_index, max_cached_results=2)
+        errors: list[BaseException] = []
+
+        def work(worker: int) -> None:
+            try:
+                for step in range(150):
+                    key = keys[(worker + step) % len(keys)]
+                    k = 1 + (step % 2)
+                    results, _ = engine.search(key, k=k)
+                    assert results == expected[key][:k]
+            except BaseException as error:  # noqa: BLE001 - re-raised below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(engine._cache) <= 2
 
 
 class TestRandomizedAgainstBruteForce:

@@ -51,6 +51,20 @@ class TestEntryFromReport:
         assert entry["p95_ms"] == 10.0
         assert entry["queries"] == 60
         assert entry["median_speedup"] == 4.0
+        # Older reports carry no work counter, repeats or spread.
+        assert entry["nodes_visited"] is None
+        assert entry["repeats"] is None
+
+    def test_keeps_kernel_work_and_spread(self):
+        report = _report()
+        report["repeats"] = 5
+        report["results"]["k=3"]["compiled"].update(
+            nodes_visited=302801, iqr_ms=0.2
+        )
+        entry = bench_history.entry_from_report(report, "smoke.json")
+        assert entry["nodes_visited"] == 302801
+        assert entry["repeats"] == 5
+        assert entry["iqr_ms"] == 0.2
         assert entry["source"] == "smoke.json"
         assert entry["recorded_at"].endswith("Z")
 
@@ -244,9 +258,11 @@ def _dictation_searches_report(queries=20, train=30):
         {"side": side, "samples": 40, "median_ms": ms, "p95_ms": 2 * ms,
          "iqr_ms": 1.0, "repeat_p50_ms": [ms, ms],
          "searches_per_dictation": searches,
-         "search_ms_per_dictation": ms / 2}
-        for side, ms, searches in (("cached", 40.0, 1.8),
-                                   ("uncached", 80.0, 5.0))
+         "nodes_visited_per_dictation": nodes,
+         "search_ms_per_dictation": ms / 2,
+         "memo_hit_ratio": 0.6}
+        for side, ms, searches, nodes in (("cached", 40.0, 1.8, 12000.0),
+                                          ("uncached", 80.0, 5.0, 50000.0))
     ]
     return {"benchmark": "dictation_searches", "queries": queries,
             "repeats": 2, "train": train, "searches_per_dictation": 1.8,
@@ -264,6 +280,20 @@ class TestDictationSearchesEntries:
         ]
         assert [e["median_ms"] for e in entries] == [40.0, 80.0]
         assert [e["searches_per_dictation"] for e in entries] == [1.8, 5.0]
+        assert [e["nodes_visited_per_dictation"] for e in entries] == [
+            12000.0, 50000.0,
+        ]
+        assert [e["memo_hit_ratio"] for e in entries] == [0.6, 0.6]
+
+    def test_reports_without_work_counters_still_append(self):
+        report = _dictation_searches_report()
+        for row in report["rows"]:
+            del row["nodes_visited_per_dictation"], row["memo_hit_ratio"]
+        entries = bench_history.entries_from_report(report, "old.json")
+        assert [e["nodes_visited_per_dictation"] for e in entries] == [
+            None, None,
+        ]
+        assert [e["memo_hit_ratio"] for e in entries] == [None, None]
 
     def test_rejected_by_single_entry_path(self):
         with pytest.raises(KeyError, match="entries_from_report"):

@@ -25,7 +25,10 @@ entry per replay side — DP oracle, memoized kernel, warm kernel —
 keyed ``literal_voting@q80t750-oracle`` etc.  A ``dictation_searches``
 report (``bench_dictation_searches.py``) appends one entry per side —
 production result cache vs ``cache_results=False`` — keyed
-``dictation_searches@q80t750-cached`` / ``-uncached``.
+``dictation_searches@q80t750-cached`` / ``-uncached``; besides
+latency it keeps the work counters a kernel or memo change is judged
+by: kernel ``nodes_visited`` per dictation and the placeholder-memo
+hit ratio.
 
 Every entry is stamped with the machine's core count (``nproc``), and
 the regression gate only compares entries recorded on the same core
@@ -121,6 +124,10 @@ def entry_from_report(report: dict, source: str) -> dict:
         "median_ms": primary["compiled"]["median_ms"],
         "p95_ms": primary["compiled"]["p95_ms"],
         "median_speedup": primary["median_speedup"],
+        # Work done and spread; absent from reports that predate them.
+        "nodes_visited": primary["compiled"].get("nodes_visited"),
+        "repeats": report.get("repeats"),
+        "iqr_ms": primary["compiled"].get("iqr_ms"),
         "source": source,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **machine_stamp(),
@@ -223,6 +230,11 @@ def entries_from_report(report: dict, source: str) -> list[dict]:
                 "p95_ms": row["p95_ms"],
                 "searches_per_dictation": row["searches_per_dictation"],
                 "search_ms_per_dictation": row["search_ms_per_dictation"],
+                # Absent from reports that predate the counters.
+                "nodes_visited_per_dictation": row.get(
+                    "nodes_visited_per_dictation"
+                ),
+                "memo_hit_ratio": row.get("memo_hit_ratio"),
                 "source": source,
                 "recorded_at": recorded_at,
                 **stamp,
