@@ -19,9 +19,13 @@ dictation, the kernel's ``nodes_visited`` per dictation (work done, not
 milliseconds), structure-search milliseconds per dictation (time inside
 ``StructureSearchEngine.search``, cache hits included), the literal
 determiner's placeholder-memo hit ratio, the share of dictation wall
-time the output's stage timings account for, and end-to-end dictation
-latency p50/p95 over every sample, with the sample count, ``nproc``,
-repeats and the spread (IQR) of the per-repeat medians.  Each repeat
+time the output's stage timings account for, per-stage p50/p95 from
+each output's ``ComponentTimings``, and end-to-end dictation latency
+p50/p95 over every sample, with the sample count, ``nproc``, repeats
+and the spread (IQR) of the per-repeat medians.  The run exits 1 when a
+side's stage timings cover less than ``MIN_COVERAGE`` (0.95) of its
+dictation wall time: time outside every stage is time no stage
+span or ``speakql_stage_seconds`` series can show.  Each repeat
 starts both sides from an empty result cache, placeholder memo and
 edit-distance memo; within a repeat they stay warm across dictations,
 as in a daemon.
@@ -54,6 +58,8 @@ SIDES = ("cached", "uncached")
 # the paper's Employees test split (dataset seed 8).
 NBEST = 5
 SPLIT_SEED = 8
+#: Share of dictation wall time the stage timings must cover.
+MIN_COVERAGE = 0.95
 
 
 class SearchProbe:
@@ -119,6 +125,39 @@ def distinct_masked(speakql: SpeakQL, output) -> int:
     })
 
 
+def p95(samples: list[float]) -> float:
+    if len(samples) < 2:
+        return samples[0]
+    return statistics.quantiles(samples, n=20, method="inclusive")[18]
+
+
+def stage_percentiles(timings: list[dict[str, float]]) -> dict[str, dict]:
+    """Per-stage p50/p95 milliseconds over dictations' stage timings.
+
+    ``timings`` holds one ``ComponentTimings.stages`` mapping (seconds)
+    per dictation; a stage a dictation never ran counts as 0 ms there.
+    """
+    names = sorted({name for stages in timings for name in stages})
+    summary = {}
+    for name in names:
+        samples = [1000 * stages.get(name, 0.0) for stages in timings]
+        summary[name] = {
+            "p50_ms": statistics.median(samples),
+            "p95_ms": p95(samples),
+        }
+    return summary
+
+
+def coverage_failures(report: dict, min_coverage: float) -> list[str]:
+    """One message per side whose stage coverage is below the gate."""
+    return [
+        f"{row['side']}: stage timings cover {row['stage_coverage']:.1%} "
+        f"of dictation wall time (required {min_coverage:.1%})"
+        for row in report["rows"]
+        if row["stage_coverage"] < min_coverage
+    ]
+
+
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
     if len(samples) < 2:
         return samples[0], samples[0], samples[0]
@@ -141,6 +180,7 @@ def run(args: argparse.Namespace) -> dict:
     # Placeholder-memo (hits, lookups) and (stage seconds, wall seconds).
     memo = {side: [0, 0] for side in SIDES}
     covered = {side: [0.0, 0.0] for side in SIDES}
+    stage_timings = {side: [] for side in SIDES}
     distinct: list[int] = []
     reference: list[tuple] | None = None
     for repeat in range(args.repeats):
@@ -167,6 +207,7 @@ def run(args: argparse.Namespace) -> dict:
                                   - before.hits - before.misses)
                 covered[side][0] += output.timings.total_seconds
                 covered[side][1] += elapsed
+                stage_timings[side].append(output.timings.stages)
                 count, visited, seconds = probe.take()
                 if reference is None:
                     distinct.append(distinct_masked(speakql, output))
@@ -195,9 +236,7 @@ def run(args: argparse.Namespace) -> dict:
             "side": side,
             "samples": len(samples),
             "median_ms": statistics.median(samples),
-            "p95_ms": statistics.quantiles(
-                samples, n=20, method="inclusive"
-            )[18],
+            "p95_ms": p95(samples),
             "iqr_ms": q3 - q1,
             "repeat_p50_ms": repeat_p50_ms[side],
             "searches_per_dictation": statistics.fmean(searches[side]),
@@ -205,6 +244,7 @@ def run(args: argparse.Namespace) -> dict:
             "search_ms_per_dictation": statistics.fmean(search_ms[side]),
             "memo_hit_ratio": memo[side][0] / max(memo[side][1], 1),
             "stage_coverage": covered[side][0] / covered[side][1],
+            "stages": stage_percentiles(stage_timings[side]),
         })
     by_side = {row["side"]: row for row in rows}
     return {
@@ -248,10 +288,16 @@ def main(argv: list[str] | None = None) -> int:
               f"e2e p50 {row['median_ms']:.1f} ms "
               f"(IQR {row['iqr_ms']:.1f}), p95 {row['p95_ms']:.1f} ms, "
               f"n={row['samples']}")
+        for name, stage in row["stages"].items():
+            print(f"{'':>11}{name}: p50 {stage['p50_ms']:.2f} ms, "
+                  f"p95 {stage['p95_ms']:.2f} ms")
     print(f"distinct masked texts/dictation "
           f"{report['distinct_masked_per_dictation']:.2f}; outputs "
           f"identical; wrote {args.out}")
-    return 0
+    failures = coverage_failures(report, MIN_COVERAGE)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

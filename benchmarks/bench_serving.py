@@ -16,16 +16,6 @@ The report feeds ``tools/bench_history.py`` (key
 ``serving_throughput@q<queries>ms<deadline>``).  ``--min-answered``
 turns the answered fraction (served + degraded) into a CI gate.
 
-``--shards K`` runs the same workload with the structure search on a
-K-worker shared-memory pool (``SpeakQLService.enable_sharding``), and
-``--scale-shards 0,1,2,4`` sweeps shard counts over one artifact build
-and emits a ``serving_shard_scaling`` report — one cores-vs-throughput
-row per shard count (0 = in-process), each becoming its own history
-entry (key suffix ``s<shards>``)::
-
-    PYTHONPATH=src python benchmarks/bench_serving.py \
-        --queries 40 --scale-shards 0,1,2,4 --out BENCH_shard_scaling.json
-
 ``--telemetry-overhead`` prices the live telemetry plane itself: the
 same closed-loop workload under three observability configurations —
 ``off`` (no registry, no tracer), ``metrics`` (the live registry the
@@ -83,29 +73,22 @@ def _build_workload(args: argparse.Namespace):
     return catalog, artifacts, requests
 
 
-def _run_workload(catalog, artifacts, requests, args, shards: int) -> dict:
-    """One timed pass over the workload; ``shards=0`` is in-process."""
+def _run_workload(catalog, artifacts, requests, args) -> dict:
+    """One timed pass over the workload."""
     service = SpeakQLService(catalog, artifacts=artifacts)
-    try:
-        if shards:
-            service.enable_sharding(shards)
-        runtime = ServingRuntime(service, queue_limit=args.queue_limit)
-        # Warm the pipeline (index compilation, worker engines, caches)
-        # outside the clock.
-        runtime.submit(
-            QueryRequest(text=requests[0].text, seed=requests[0].seed)
-        )
-        start = time.perf_counter()
-        responses = runtime.serve_batch(requests, workers=args.workers)
-        total_s = time.perf_counter() - start
-    finally:
-        service.close()
+    runtime = ServingRuntime(service, queue_limit=args.queue_limit)
+    # Warm the pipeline (index compilation, caches) outside the clock.
+    runtime.submit(
+        QueryRequest(text=requests[0].text, seed=requests[0].seed)
+    )
+    start = time.perf_counter()
+    responses = runtime.serve_batch(requests, workers=args.workers)
+    total_s = time.perf_counter() - start
 
     outcomes = Counter(response.outcome for response in responses)
     answered = outcomes["served"] + outcomes["degraded"]
     latencies = sorted(r.wall_seconds for r in responses)
     return {
-        "shards": shards,
         "outcomes": dict(sorted(outcomes.items())),
         "answered": answered,
         "answered_fraction": answered / len(requests),
@@ -154,7 +137,6 @@ def _run_telemetry_config(
     finally:
         if sink is not None:
             sink.close()
-        service.close()
 
     outcomes = Counter(response.outcome for response in responses)
     answered = outcomes["served"] + outcomes["degraded"]
@@ -219,43 +201,14 @@ def run(args: argparse.Namespace) -> dict:
             "repeats": args.repeats,
             "rows": rows,
         }
-    if args.scale_shards is not None:
-        # Cores-vs-throughput sweep: one row per shard count over the
-        # same artifact build, each row a fresh service + pool.
-        rows = [
-            _run_workload(catalog, artifacts, requests, args, shards)
-            for shards in args.scale_shards
-        ]
-        baseline = rows[0]["throughput_qps"]
-        for row in rows:
-            row["speedup_vs_first"] = (
-                row["throughput_qps"] / baseline if baseline else 0.0
-            )
-        return {"benchmark": "serving_shard_scaling", **common, "rows": rows}
-    result = _run_workload(catalog, artifacts, requests, args, args.shards)
+    result = _run_workload(catalog, artifacts, requests, args)
     return {"benchmark": "serving_throughput", **common, **result}
-
-
-def _parse_scale(text: str) -> list[int]:
-    counts = [int(part) for part in text.split(",") if part.strip() != ""]
-    if not counts or any(count < 0 for count in counts):
-        raise argparse.ArgumentTypeError(
-            "expected a comma-separated list of shard counts >= 0"
-        )
-    return counts
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--queries", type=int, default=40)
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--shards", type=int, default=0, metavar="K",
-                        help="run the structure search on a K-worker "
-                        "shared-memory pool (default: in-process)")
-    parser.add_argument("--scale-shards", type=_parse_scale, default=None,
-                        metavar="K0,K1,...",
-                        help="sweep shard counts (0 = in-process) and emit "
-                        "one cores-vs-throughput row per count")
     parser.add_argument("--telemetry-overhead", action="store_true",
                         help="price the live telemetry plane: the same "
                         "closed-loop workload with observability off, "
@@ -295,12 +248,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"{mix})"
             )
             continue
-        label = (
-            f"{row['shards']} shard(s)" if row["shards"] else "in-process"
-        )
         print(
             f"{report['queries']} queries @ "
-            f"{report['deadline_ms'] or 'no'} ms deadline, {label}: "
+            f"{report['deadline_ms'] or 'no'} ms deadline: "
             f"{row['throughput_qps']:.1f} q/s, "
             f"median {row['median_ms']:.2f} ms, "
             f"p95 {row['p95_ms']:.2f} ms ({mix})"

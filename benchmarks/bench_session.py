@@ -86,54 +86,51 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     )
     service = SpeakQLService(catalog, artifacts=artifacts)
     rng = random.Random(args.seed)
-    try:
-        runtime = ServingRuntime(service, session_limit=args.queries + 8)
-        # Warm everything the clock must not see: the whole-query index
-        # compilation (cold path) and the per-clause indexes + session
-        # decoder (warm path).
-        runtime.submit(QueryRequest(text=BASE_TEXTS[0]))
-        runtime.submit(
-            QueryRequest(text=BASE_TEXTS[0], session_id="warmup", turn=0)
+    runtime = ServingRuntime(service, session_limit=args.queries + 8)
+    # Warm everything the clock must not see: the whole-query index
+    # compilation (cold path) and the per-clause indexes + session
+    # decoder (warm path).
+    runtime.submit(QueryRequest(text=BASE_TEXTS[0]))
+    runtime.submit(
+        QueryRequest(text=BASE_TEXTS[0], session_id="warmup", turn=0)
+    )
+    runtime.submit(QueryRequest(
+        text="", session_id="warmup", turn=1,
+        edit=ClauseEdit("redictate", "WHERE", "where gender equals f"),
+    ))
+
+    cold_s: list[float] = []
+    warm_s: list[float] = []
+    reused_fractions: list[float] = []
+    for trial in range(args.queries):
+        session_id = f"bench-{trial}"
+        base = rng.choice(BASE_TEXTS)
+        turn0 = runtime.submit(
+            QueryRequest(text=base, session_id=session_id, turn=0)
         )
-        runtime.submit(QueryRequest(
-            text="", session_id="warmup", turn=1,
-            edit=ClauseEdit("redictate", "WHERE", "where gender equals f"),
+        assert turn0.ok, turn0.error
+        clause = rng.choice(sorted(CLAUSE_TEXTS))
+        edit = ClauseEdit(
+            rng.choice(("redictate", "token_patch")),
+            clause,
+            rng.choice(CLAUSE_TEXTS[clause]),
+        )
+        start = time.perf_counter()
+        warm = runtime.submit(QueryRequest(
+            text="", session_id=session_id, turn=1, edit=edit
         ))
+        warm_s.append(time.perf_counter() - start)
+        assert warm.ok, warm.error
+        reused = len(warm.reused_spans)
+        # The edited span was the one re-searched.
+        reused_fractions.append(reused / (reused + 1))
 
-        cold_s: list[float] = []
-        warm_s: list[float] = []
-        reused_fractions: list[float] = []
-        for trial in range(args.queries):
-            session_id = f"bench-{trial}"
-            base = rng.choice(BASE_TEXTS)
-            turn0 = runtime.submit(
-                QueryRequest(text=base, session_id=session_id, turn=0)
-            )
-            assert turn0.ok, turn0.error
-            clause = rng.choice(sorted(CLAUSE_TEXTS))
-            edit = ClauseEdit(
-                rng.choice(("redictate", "token_patch")),
-                clause,
-                rng.choice(CLAUSE_TEXTS[clause]),
-            )
-            start = time.perf_counter()
-            warm = runtime.submit(QueryRequest(
-                text="", session_id=session_id, turn=1, edit=edit
-            ))
-            warm_s.append(time.perf_counter() - start)
-            assert warm.ok, warm.error
-            reused = len(warm.reused_spans)
-            # The edited span was the one re-searched.
-            reused_fractions.append(reused / (reused + 1))
-
-            # The pre-session alternative: re-submit the whole corrected
-            # query and pay the full-query structure search again.
-            start = time.perf_counter()
-            cold = runtime.submit(QueryRequest(text=warm.output.asr_text))
-            cold_s.append(time.perf_counter() - start)
-            assert cold.ok, cold.error
-    finally:
-        service.close()
+        # The pre-session alternative: re-submit the whole corrected
+        # query and pay the full-query structure search again.
+        start = time.perf_counter()
+        cold = runtime.submit(QueryRequest(text=warm.output.asr_text))
+        cold_s.append(time.perf_counter() - start)
+        assert cold.ok, cold.error
 
     cold_row = _phase_row("cold", cold_s)
     warm_row = _phase_row(

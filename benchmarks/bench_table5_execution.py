@@ -122,17 +122,14 @@ def run(args: argparse.Namespace) -> dict:
             )
         gold_sqls = [q.sql for q in queries]
         service = _build_service(catalog, gold_sqls, args)
-        try:
-            started = time.perf_counter()
-            modes = {}
-            for mode in ("clean", "speech"):
-                predicted = _predictions(service, queries, mode, args.workers)
-                modes[mode] = _score(
-                    catalog, gold_sqls, predicted, args, metrics
-                )
-            elapsed = time.perf_counter() - started
-        finally:
-            service.close()
+        started = time.perf_counter()
+        modes = {}
+        for mode in ("clean", "speech"):
+            predicted = _predictions(service, queries, mode, args.workers)
+            modes[mode] = _score(
+                catalog, gold_sqls, predicted, args, metrics
+            )
+        elapsed = time.perf_counter() - started
         report["datasets"][schema] = {
             "instance_fingerprint": instance_fingerprint(catalog)[:16],
             "gold_excluded": excluded,

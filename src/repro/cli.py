@@ -188,7 +188,6 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ShardPoolError
     from repro.observability import RotatingTraceSink
     from repro.serving import (
         AsyncServingDaemon,
@@ -206,19 +205,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.trace_out
         else None
     )
-    service = SpeakQLService.from_pipeline(pipeline)
-    if args.shards:
-        # A pool that cannot start is a hard startup error: exiting
-        # non-zero beats silently serving single-process when the
-        # operator asked for shards.
-        try:
-            service.enable_sharding(args.shards, metrics=metrics,
-                                    tracer=tracer)
-        except (ShardPoolError, ValueError) as error:
-            print(f"shard pool failed to start: {error}", file=sys.stderr)
-            return 1
     runtime = ServingRuntime(
-        service,
+        SpeakQLService.from_pipeline(pipeline),
         queue_limit=args.queue_limit,
         degrade_below=(
             args.degrade_below_ms / 1000.0
@@ -246,7 +234,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         code = run_async_daemon(daemon)
     finally:
         runtime.flush_traces()
-        service.close()  # idempotent; the daemon normally shuts down first
         if args.metrics_out:
             write_metrics(metrics, args.metrics_out)
             print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
@@ -449,11 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="training queries for the custom ASR model")
     serve.add_argument("--search-kernel", choices=_KERNELS,
                        default=KERNEL_COMPILED)
-    serve.add_argument("--shards", type=int, default=0, metavar="K",
-                       help="shard the structure search over K worker "
-                            "processes sharing one in-memory index "
-                            "(0 = in-process search; exits non-zero if "
-                            "the pool cannot start)")
     serve.add_argument("--queue-limit", type=int, default=16,
                        help="max in-flight requests before shedding")
     serve.add_argument("--degrade-below-ms", type=float, default=None,

@@ -70,7 +70,6 @@ class SpeakQLArtifacts:
     _clause_indexes: dict[tuple[str, int], StructureIndex] = field(
         default_factory=dict, repr=False
     )
-    _shared: object | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # -- construction -------------------------------------------------------
@@ -182,34 +181,6 @@ class SpeakQLArtifacts:
                 cached = (catalog, PhoneticIndex.from_catalog(catalog))
                 self._phonetic[key] = cached
         return cached[1]
-
-    def shared_index(self):
-        """The compiled index exported to shared memory, built once.
-
-        Returns the bundle's owned
-        :class:`~repro.structure.compiled.SharedCompiledIndex` — one
-        segment all shard workers (and several executors over the same
-        bundle) map read-only.  The bundle owns the segment; call
-        :meth:`release_shared` (or let the owning service ``close()``)
-        to unlink it.
-        """
-        shared = self._shared
-        if shared is not None and not shared.closed:
-            return shared
-        with self._lock:
-            shared = self._shared
-            if shared is None or shared.closed:
-                shared = self.structure_index.compiled().to_shared()
-                self._shared = shared
-        return shared
-
-    def release_shared(self) -> None:
-        """Unlink the shared-memory export, if one was created."""
-        with self._lock:
-            shared = self._shared
-            self._shared = None
-        if shared is not None:
-            shared.close()
 
     def clause_index(
         self, kind: "ClauseKind", max_tokens: int | None = None

@@ -83,12 +83,6 @@ class SpeakQLConfig:
     #: before the structure search, de-emphasizing structure relative to
     #: literals so ASR token-splitting cannot inflate the distance.
     literal_focused: bool = False
-    #: Whether the pipeline may delegate compiled-kernel searches to an
-    #: attached sharded executor (:mod:`repro.core.shards`).  Results
-    #: are bit-identical either way; the serving ladder's ``in_process``
-    #: rung flips this off to route around a sick worker pool.  Inert
-    #: unless a ``search_executor`` is passed to :class:`SpeakQL`.
-    use_sharded: bool = True
 
     # -- versioned serialization ------------------------------------------
 
@@ -181,12 +175,6 @@ class SpeakQL:
     config: SpeakQLConfig = field(default_factory=SpeakQLConfig)
     phonetic_index: PhoneticIndex | None = None
     artifacts: SpeakQLArtifacts | None = None
-    #: Optional started :class:`~repro.core.shards.ShardedSearchExecutor`.
-    #: Attached to the structure searcher when the config allows
-    #: (``use_sharded`` and a compatible kernel/flag set); the executor's
-    #: lifecycle belongs to whoever built it (usually
-    #: :class:`~repro.core.service.SpeakQLService`), never the pipeline.
-    search_executor: object | None = None
     tracer: Tracer = NULL_TRACER
     metrics: MetricsRegistry | None = None
     _searcher: StructureSearchEngine = field(init=False, repr=False)
@@ -215,13 +203,6 @@ class SpeakQL:
             use_inv=self.config.use_inv,
             kernel=self.config.search_kernel,
         )
-        executor = self.search_executor
-        if (
-            executor is not None
-            and self.config.use_sharded
-            and executor.matches_config(self.config)
-        ):
-            self._searcher.executor = executor
         self._determiner = LiteralDeterminer(
             catalog=self.catalog,
             index=self.phonetic_index,

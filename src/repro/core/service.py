@@ -73,13 +73,7 @@ BatchRequest = QueryRequest
 
 
 class SpeakQLService:
-    """Batch front-end sharing one read-only artifact bundle.
-
-    ``shards > 0`` starts a sharded multi-process search pool at
-    construction (see :meth:`enable_sharding`); the service then owns
-    the pool's lifecycle — call :meth:`close` (or use the service as a
-    context manager) to stop the workers and unlink shared memory.
-    """
+    """Batch front-end sharing one read-only artifact bundle."""
 
     def __init__(
         self,
@@ -90,8 +84,6 @@ class SpeakQLService:
         config: SpeakQLConfig | None = None,
         engine: "SimulatedAsrEngine | None" = None,
         phonetic_index: PhoneticIndex | None = None,
-        shards: int = 0,
-        mp_context: object | None = None,
     ) -> None:
         if pipeline is None:
             if catalog is None:
@@ -105,9 +97,6 @@ class SpeakQLService:
             )
         self.pipeline = pipeline
         self.artifacts = pipeline.artifacts
-        self.search_executor = None
-        if shards:
-            self.enable_sharding(shards, mp_context=mp_context)
 
     @classmethod
     def from_pipeline(cls, pipeline: SpeakQL) -> "SpeakQLService":
@@ -117,87 +106,6 @@ class SpeakQLService:
     @property
     def catalog(self) -> Catalog:
         return self.pipeline.catalog
-
-    # -- sharded search pool -------------------------------------------------
-
-    def enable_sharding(
-        self,
-        shards: int,
-        *,
-        mp_context: object | None = None,
-        shard_timeout: float = 30.0,
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-    ):
-        """Start a sharded multi-process search pool and attach it.
-
-        The compiled structure index is exported to shared memory once
-        (via the artifact bundle when the weights match, so several
-        services over one bundle share a single segment), ``shards``
-        worker processes map it read-only, and the pipeline's structure
-        searches are delegated to the pool — bit-identical to the
-        in-process compiled kernel.  Raises
-        :class:`~repro.errors.ShardPoolError` if any worker fails to
-        come up (no silent single-process fallback), and
-        :class:`ValueError` when the pipeline's configuration cannot
-        delegate (non-compiled kernel or DAP).
-        """
-        from repro.core.shards import ShardedSearchExecutor
-        from repro.structure.compiled import weights_key
-
-        if self.search_executor is not None:
-            raise ValueError("the service already has a shard pool")
-        config = self.pipeline.config
-        if config.search_kernel != "compiled" or config.use_dap:
-            raise ValueError(
-                "sharded serving requires the compiled kernel without DAP "
-                f"(got search_kernel={config.search_kernel!r}, "
-                f"use_dap={config.use_dap})"
-            )
-        compiled = self.pipeline.structure_index.compiled(config.weights)
-        shared = None
-        if self.artifacts is not None:
-            candidate = self.artifacts.shared_index()
-            if weights_key(candidate.handle.weights) == compiled.weights_key:
-                shared = candidate
-        executor = ShardedSearchExecutor(
-            compiled,
-            shards=shards,
-            use_bdb=config.use_bdb,
-            shared=shared,
-            mp_context=mp_context,
-            shard_timeout=shard_timeout,
-            metrics=metrics,
-            tracer=tracer,
-        )
-        executor.start()
-        self.search_executor = executor
-        self.pipeline.search_executor = executor
-        if config.use_sharded and executor.matches_config(config):
-            self.pipeline._searcher.executor = executor
-        return executor
-
-    def close(self) -> None:
-        """Stop the shard pool (if any) and unlink shared memory.
-
-        Idempotent; an unsharded service closes as a no-op.  The
-        pipeline keeps working after ``close()`` — searches simply run
-        in-process again.
-        """
-        executor = self.search_executor
-        self.search_executor = None
-        if executor is not None:
-            self.pipeline.search_executor = None
-            self.pipeline._searcher.executor = None
-            executor.stop()
-        if self.artifacts is not None:
-            self.artifacts.release_shared()
-
-    def __enter__(self) -> "SpeakQLService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- single-query passthroughs -----------------------------------------
 

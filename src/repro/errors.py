@@ -31,16 +31,6 @@ class AsrError(ReproError):
     """Simulated speech pipeline failure."""
 
 
-class ShardPoolError(ReproError):
-    """The sharded search worker pool is unusable.
-
-    Raised when the pool fails to start (a worker never reported ready)
-    or when a search is attempted after the pool was stopped or every
-    worker died.  Individual worker failures do *not* raise this — the
-    coordinator degrades the sick shard alone and keeps answering.
-    """
-
-
 class BackendError(ReproError):
     """Base class for query-execution backend errors."""
 

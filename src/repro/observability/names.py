@@ -33,12 +33,6 @@ SPAN_NAMES: dict[str, str] = {
     "literal.walk": "One pass of the walk (phase 1: category candidate "
                     "sets; phase 2: table-narrowed candidates).",
     "asr.channel.corrupt": "Acoustic-channel corruption of the spoken words.",
-    "shard.search": "One shard's leg of a scatter–gather sharded search "
-                    "(child of the span active at dispatch).",
-    "shard.worker.search": "The worker-process side of one remote shard "
-                           "leg, recorded in the child and re-parented "
-                           "under the coordinator's `shard.search` span "
-                           "when the result frame returns.",
     "execution.run": "One (gold, predicted) pair scored against a real "
                      "execution backend: run both queries, compare the "
                      "normalized result sets.",
@@ -48,12 +42,6 @@ SPAN_NAMES: dict[str, str] = {
                     "(reused spans open no span — reuse is free).",
 }
 
-#: Per-shard leg of a sharded search (module-level constant for emitters).
-SPAN_SHARD_SEARCH = "shard.search"
-
-#: Worker-process side of a remote shard leg (module-level constant).
-SPAN_SHARD_WORKER = "shard.worker.search"
-
 #: Structured span attributes the pipeline sets (attribute -> meaning).
 SPAN_ATTRIBUTES: dict[str, str] = {
     "queries": "`batch`: number of requests in the batch.",
@@ -61,8 +49,7 @@ SPAN_ATTRIBUTES: dict[str, str] = {
     "mode": "`query`/`serve`: `speech` (dictation) or `transcription` "
             "(correction).",
     "outcome": "`serve`: the response outcome (`served`, `degraded`, "
-               "`shed`, `timeout`, `failed`); `shard.search`: `ok` or "
-               "the failure reason (`worker died`, `shard timeout`, ...).",
+               "`shed`, `timeout`, `failed`).",
     "rung": "`serve`: the degradation-ladder rung that answered "
             "(0 = requested config).",
     "attempts": "`serve`: ladder rungs actually attempted.",
@@ -77,11 +64,6 @@ SPAN_ATTRIBUTES: dict[str, str] = {
              "narrowed pass.",
     "words_in": "`asr.channel.corrupt`: spoken words entering the channel.",
     "words_out": "`asr.channel.corrupt`: heard words leaving the channel.",
-    "shard": "`shard.search`: the shard index the leg ran against; also "
-             "a label on the `speakql_shard_*` metrics.",
-    "fallback": "`shard.search`: `true` when the leg ran in-process on "
-                "the coordinator (worker dead, timed out, errored, or "
-                "breaker open) instead of on the shard's worker.",
     "session_id": "`session.turn`: the correction session the turn "
                   "belongs to (echoed on the wire reply).",
     "turn": "`session.turn`: the 0-based turn number within its session.",
@@ -143,15 +125,6 @@ SERVING_BREAKER_STATE = "speakql_serving_breaker_state"
 SERVING_BREAKER_TRIPS_TOTAL = "speakql_serving_breaker_trips_total"
 SERVING_SECONDS = "speakql_serving_seconds"
 SERVING_E2E_WINDOW_SECONDS = "speakql_serving_e2e_window_seconds"
-
-SHARD_REQUESTS_TOTAL = "speakql_shard_requests_total"
-SHARD_FAILURES_TOTAL = "speakql_shard_failures_total"
-SHARD_FALLBACK_TOTAL = "speakql_shard_fallback_total"
-SHARD_STATE = "speakql_shard_state"
-SHARD_NODES_VISITED = "speakql_shard_nodes_visited_total"
-SHARD_ROWS_PRUNED = "speakql_shard_rows_pruned_total"
-SHARD_BEAM_BOUND_UPDATES = "speakql_shard_beam_bound_updates_total"
-SHARD_POOL_WORKERS = "speakql_shard_pool_workers"
 
 ATTRIBUTION_QUERIES_TOTAL = "speakql_attribution_queries_total"
 ATTRIBUTION_MISSES_TOTAL = "speakql_attribution_misses_total"
@@ -227,24 +200,6 @@ METRIC_NAMES: dict[str, str] = {
                                 "than since-start aggregates; exported "
                                 "as a plain histogram of the live "
                                 "window.",
-    SHARD_REQUESTS_TOTAL: "counter — search legs routed to each `shard` "
-                          "(remote or fallback).",
-    SHARD_FAILURES_TOTAL: "counter — failed remote legs per `shard` "
-                          "(worker died, timed out, or errored).",
-    SHARD_FALLBACK_TOTAL: "counter — legs served in-process on the "
-                          "coordinator per `shard`.",
-    SHARD_STATE: "gauge — per-`shard` health (0 closed, 1 half-open, "
-                 "2 open, 3 worker dead).",
-    SHARD_NODES_VISITED: "counter — trie nodes visited by each `shard`'s "
-                         "kernel (remote legs report via the result "
-                         "frame; fallback legs count on the "
-                         "coordinator).",
-    SHARD_ROWS_PRUNED: "counter — node rows pruned by each `shard`'s "
-                       "compiled kernel (band/threshold prune).",
-    SHARD_BEAM_BOUND_UPDATES: "counter — beam-probe bound updates seeded "
-                              "by each `shard`'s kernel.",
-    SHARD_POOL_WORKERS: "gauge — live shard workers in the pool "
-                        "(merge: max).",
     ATTRIBUTION_QUERIES_TOTAL: "counter — queries attributed against "
                                "ground truth by the forensics engine.",
     ATTRIBUTION_MISSES_TOTAL: "counter — attributed misses, by `cause`.",
@@ -296,11 +251,7 @@ METRIC_LABELS: dict[str, str] = {
     "rung": f"`{SERVING_RUNG_TOTAL}`: degradation-ladder rung index "
             "(0 = requested config).",
     "kernel": f"`{SEARCH_TOTAL}`: the kernel that ran "
-              "(`compiled`, `flat`, `reference`, `sharded`).",
-    "shard": f"`{SHARD_REQUESTS_TOTAL}`, `{SHARD_FAILURES_TOTAL}`, "
-             f"`{SHARD_FALLBACK_TOTAL}`, `{SHARD_STATE}`, "
-             f"`{SHARD_NODES_VISITED}`, `{SHARD_ROWS_PRUNED}`, "
-             f"`{SHARD_BEAM_BOUND_UPDATES}`: the shard index.",
+              "(`compiled`, `flat`, `reference`).",
     "config": f"`{SEARCH_SECONDS}` and benchmark counters: the ablation "
               "configuration being measured.",
     "cause": f"`{ATTRIBUTION_MISSES_TOTAL}`: the miss-taxonomy class "

@@ -194,36 +194,6 @@ class Tracer:
         """The trace id bound to this thread, if any."""
         return getattr(self._local, "trace_id", None)
 
-    def adopt(self, span_dicts: list[dict], *, parent: Span) -> list[Span]:
-        """Graft foreign finished spans (e.g. from a shard worker
-        process) under ``parent``.
-
-        Each dict must come from :meth:`Span.to_dict` on the foreign
-        tracer.  Ids are remapped into this tracer's id space (parent
-        links *within* the batch are preserved; roots re-parent under
-        ``parent``), and times are rebased so the earliest foreign span
-        starts at ``parent.start`` — the foreign process has its own
-        ``_t0``, so only relative timing is meaningful here.
-        """
-        if not self.enabled or not span_dicts:
-            return []
-        base = min(d["start"] for d in span_dicts)
-        shift = parent.start - base
-        id_map: dict[int, int] = {}
-        adopted: list[tuple[dict, Span]] = []
-        for d in span_dicts:
-            span = Span(self, d["name"], next(self._ids), None,
-                        dict(d.get("attributes") or {}))
-            span.start = d["start"] + shift
-            span.end = d["end"] + shift
-            span.thread = d.get("thread", span.thread)
-            id_map[d["span_id"]] = span.span_id
-            adopted.append((d, span))
-        for d, span in adopted:
-            span.parent_id = id_map.get(d.get("parent_id"), parent.span_id)
-            self.spans.append(span)
-        return [span for _, span in adopted]
-
     def drain(self) -> list[Span]:
         """Atomically take (and clear) the finished-span list.
 

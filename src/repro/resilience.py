@@ -1,10 +1,9 @@
-"""Deterministic resilience primitives shared across layers.
+"""Deterministic resilience primitives.
 
-:class:`CircuitBreaker` started life inside the serving runtime (per
-degradation-ladder rung); the sharded search executor
-(:mod:`repro.core.shards`) now runs one per shard as well, so the
-primitive lives here, dependency-free, and both layers import it.  The
-serving package re-exports everything for backwards compatibility.
+:class:`CircuitBreaker` guards the serving runtime's degradation-ladder
+rungs.  It lives here, free of serving dependencies, so it can be
+tested (and reused) on its own; the serving package re-exports
+everything for backwards compatibility.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
 #: Gauge encoding of breaker states (exported as
-#: ``speakql_serving_breaker_state`` and ``speakql_shard_state``).
+#: ``speakql_serving_breaker_state``).
 BREAKER_STATE_VALUES = {
     BREAKER_CLOSED: 0,
     BREAKER_HALF_OPEN: 1,
@@ -28,7 +27,7 @@ class CircuitBreaker:
     """A deterministic, request-count-based circuit breaker.
 
     One breaker instance tracks any number of keys (the serving runtime
-    uses ladder-rung names; the sharded executor uses shard indexes).
+    uses ladder-rung names).
     Per key:
 
     - **closed** — requests flow; ``failure_threshold`` *consecutive*

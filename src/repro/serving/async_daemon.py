@@ -31,12 +31,11 @@ waits for a free thread is charged against its ``deadline``.  So:
 ``health_port`` and ``telemetry_port`` both bind an
 :class:`~repro.serving.telemetry.AsyncTelemetryServer` on the loop,
 answering ``/healthz`` (liveness), ``/readyz`` (503 while the queue is
-full or the shard pool is down), ``/metrics`` and ``/statusz``.
+full), ``/metrics`` and ``/statusz``.
 
 Every request carries a ``trace_id``: supplied by the client on the
-wire, or generated at this edge.  It is echoed on the reply, stamped on
-every span the request opens, and follows the request into the shard
-workers.
+wire, or generated at this edge.  It is echoed on the reply and stamped on
+every span the request opens.
 
 Lifecycle: the daemon serves until stdin EOF or :meth:`stop` (which
 :func:`run_async_daemon` wires to SIGTERM and SIGINT), then closes TCP

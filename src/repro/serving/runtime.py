@@ -133,10 +133,9 @@ DEFAULT_LADDER: tuple[Rung, ...] = (
 
 # -- circuit breaker ---------------------------------------------------------
 #
-# The breaker grew a second consumer (the sharded search executor keeps
-# one per shard) and now lives in :mod:`repro.resilience`; it is
-# re-exported here because serving code and tests have always imported
-# it from this module.
+# The breaker lives in :mod:`repro.resilience`, free of serving
+# dependencies; it is re-exported here because serving code and tests
+# import it from this module.
 
 
 # -- the runtime -------------------------------------------------------------
@@ -206,19 +205,6 @@ class ServingRuntime:
         if self.ladder[0].overrides:
             raise ValueError(
                 "rung 0 must be the requested configuration (no overrides)"
-            )
-        if (
-            self.ladder == DEFAULT_LADDER
-            and getattr(service, "search_executor", None) is not None
-        ):
-            # A sharded service gets one extra rung between "requested"
-            # and the flat kernel: the same compiled kernel run in
-            # process, so a dead/ sick worker pool degrades to identical
-            # answers before any quality is traded away.
-            self.ladder = (
-                self.ladder[0],
-                Rung("in_process", {"use_sharded": False}),
-                *self.ladder[1:],
             )
         self.degrade_below = degrade_below
         self.breaker = breaker or CircuitBreaker(
@@ -633,7 +619,6 @@ class ServingRuntime:
             config=config,
             phonetic_index=base.phonetic_index,
             artifacts=base.artifacts,
-            search_executor=base.search_executor,
         )
         with self._lock:
             return self._pipelines.setdefault(key, pipeline)
@@ -668,8 +653,6 @@ class ServingRuntime:
         with self._lock:
             outcomes = dict(self._outcomes)
             inflight = self._inflight
-        executor = getattr(self.service, "search_executor", None)
-        shards = executor.health() if executor is not None else None
         return {
             "status": "ok",
             "ready": self.service.artifacts is not None,
@@ -678,26 +661,19 @@ class ServingRuntime:
             "outcomes": outcomes,
             "breakers": self.breaker.states(),
             "ladder": [rung.name for rung in self.ladder],
-            "shards": shards,
             "sessions": {
                 "live": len(self.sessions),
                 "limit": self.sessions.limit,
             },
-            # Readiness as far as the shard pool is concerned: an
-            # unsharded service is trivially ok; a sharded one needs at
-            # least one populated shard worker alive (a dead pool still
-            # *serves* — via the in_process rung — but is not "ready").
-            "shard_pool_ok": executor is None or executor.alive,
         }
 
     def statusz(self) -> dict:
         """A JSON-ready operator snapshot for ``GET /statusz``.
 
         Everything :meth:`health` reports, plus uptime, queue depth vs
-        capacity, per-rung serve counts, per-rung and per-shard breaker
-        states, and rolling p50/p95/p99 end-to-end latency from the
-        windowed histogram (alongside the cumulative-since-start
-        figures).
+        capacity, per-rung serve counts, per-rung breaker states, and
+        rolling p50/p95/p99 end-to-end latency from the windowed
+        histogram (alongside the cumulative-since-start figures).
         """
         now = self._clock()
         rolling = cumulative = None
@@ -713,7 +689,6 @@ class ServingRuntime:
                     clock=self._clock,
                 ).snapshot(now)
                 cumulative = self.metrics.histogram(obs_names.SERVING_SECONDS)
-        executor = getattr(self.service, "search_executor", None)
 
         def _percentiles(histogram) -> dict:
             if histogram is None or histogram.count == 0:
@@ -737,8 +712,6 @@ class ServingRuntime:
                 "served_by_rung": rungs,
                 "breakers": self.breaker.states(),
             },
-            "shards": executor.health() if executor is not None else None,
-            "shard_pool_ok": executor is None or executor.alive,
             "sessions": self.sessions.stats(),
             "latency": {
                 "window_seconds": self.window_seconds,
@@ -772,12 +745,9 @@ class ServingRuntime:
         return self.trace_sink.write_spans(keep)
 
     def shutdown(self) -> None:
-        """Release owned resources (the service's shard pool, if any),
-        flushing any traces still buffered on the tracer first."""
-        try:
-            self.flush_traces()
-        finally:
-            self.service.close()
+        """Flush any traces still buffered on the tracer (the daemon
+        calls this once, after its drain)."""
+        self.flush_traces()
 
     def _account_response(self, response: QueryResponse) -> None:
         """Fold one finished response into the counters; caller holds

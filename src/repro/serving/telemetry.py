@@ -5,8 +5,8 @@ operating a long-running daemon.  This module makes the same registry
 scrapeable live:
 
 - :class:`TelemetryPlane` — the render source: a point-in-time snapshot
-  of the runtime's registry (its serving instruments, plus the shard
-  executor's per-shard counters, which share that registry) rendered as
+  of the runtime's registry (its serving instruments, plus the
+  pipeline's instruments when they share that registry) rendered as
   one Prometheus text page, and the runtime's ``statusz()`` operator
   snapshot;
 - :class:`AsyncTelemetryServer` — a minimal asyncio HTTP/1.0 GET
@@ -135,7 +135,6 @@ class AsyncTelemetryServer:
                     ready = (
                         health["ready"]
                         and health["inflight"] < health["queue_limit"]
-                        and health.get("shard_pool_ok", True)
                     )
                     status = 200 if ready else 503
                 body = json.dumps(health, sort_keys=True).encode("utf-8")

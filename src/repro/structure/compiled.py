@@ -19,24 +19,13 @@ derives a variant for different weights while sharing every structural
 array.  ``repro.structure.persistence`` serializes the flat arrays
 directly, so a cached index loads without re-inserting token sequences
 into pointer-heavy tries.
-
-For multi-process serving the flat arrays can additionally be placed in
-one shared-memory segment: :meth:`CompiledStructureIndex.to_shared`
-copies every trie array into a ``multiprocessing.shared_memory`` block
-and returns a :class:`SharedCompiledIndex` owner whose picklable
-:class:`SharedIndexHandle` lets worker processes re-materialize the
-index with :func:`from_shared` as zero-copy ``memoryview`` casts over
-the same physical pages — N workers map one copy.
-:func:`partition_lengths` buckets the per-length tries into K balanced
-shards (deterministic greedy LPT by node count) for the sharded
-executor in :mod:`repro.core.shards`.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -295,51 +284,6 @@ class CompiledStructureIndex:
             sentences=self.sentences,
         )
 
-    def subset(self, lengths: Iterable[int]) -> "CompiledStructureIndex":
-        """A zero-copy view restricted to the tries for ``lengths``.
-
-        Every kept array object (including cached level plans) is shared
-        with this index; sentences whose trie is excluded are replaced
-        by an empty placeholder tuple, keeping sentence ids stable so a
-        shard's results merge against the full index unambiguously.
-        """
-        wanted = set(lengths)
-        missing = wanted - set(self.tries)
-        if missing:
-            raise ValueError(f"unknown trie lengths: {sorted(missing)}")
-        tries = {length: self.tries[length] for length in sorted(wanted)}
-        kept_ids = {
-            sid
-            for trie in tries.values()
-            for sid in trie.sentence_id
-            if sid != NO_NODE
-        }
-        sentences = tuple(
-            sentence if sid in kept_ids else ()
-            for sid, sentence in enumerate(self.sentences)
-        )
-        return CompiledStructureIndex(
-            tokens=self.tokens,
-            token_ids=self.token_ids,
-            token_weight=self.token_weight,
-            prime=self.prime,
-            weights=self.weights,
-            tries=tries,
-            sentences=sentences,
-        )
-
-    def to_shared(self) -> "SharedCompiledIndex":
-        """Copy the trie arrays into one shared-memory segment.
-
-        Returns the owning :class:`SharedCompiledIndex`; its picklable
-        ``handle`` re-materializes the index in any process via
-        :func:`from_shared` without copying the arrays again.  The
-        caller (the coordinator) must keep the owner alive for as long
-        as any worker maps it, then :meth:`SharedCompiledIndex.close`
-        it.
-        """
-        return SharedCompiledIndex.create(self)
-
     # -- serialization ------------------------------------------------------
 
     def to_lines(self) -> list[str]:
@@ -580,279 +524,3 @@ def _collect_sentences(
             child = ns[child]
 
     walk(0, [])
-
-
-# -- shared memory -----------------------------------------------------------
-
-_INT_SIZE = array("i").itemsize
-_DOUBLE_SIZE = array("d").itemsize
-
-
-def _as_bytes(buffer) -> bytes:
-    """Raw bytes of an ``array`` or ``memoryview``-backed trie array."""
-    return buffer.tobytes()
-
-
-@dataclass(frozen=True)
-class SharedIndexHandle:
-    """Picklable descriptor of a compiled index in shared memory.
-
-    Carries everything a worker process needs to re-materialize the
-    index (or a shard of it) over the segment named ``shm_name``:
-    the intern table, the compiled weights, the sentence-id space size,
-    and per-trie byte offsets into the segment.  The arrays themselves
-    are *not* pickled — that is the point.
-    """
-
-    shm_name: str
-    tokens: tuple[str, ...]
-    weights: TokenWeights
-    sentence_count: int
-    #: Per trie: (length, node_count, node_weight / first_child /
-    #: next_sibling / token_id / sentence_id byte offsets).
-    tries: tuple[tuple[int, int, int, int, int, int, int], ...]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(spec[0] for spec in self.tries)
-
-
-class SharedCompiledIndex:
-    """Owner of one shared-memory segment holding a compiled index.
-
-    Created by :meth:`CompiledStructureIndex.to_shared`; the creating
-    process keeps this object alive while workers map the segment and
-    calls :meth:`close` (idempotent) to release and unlink it.  Workers
-    attach read-only views via :func:`from_shared` on ``handle`` and
-    never unlink.
-    """
-
-    def __init__(self, shm, handle: SharedIndexHandle) -> None:
-        self._shm = shm
-        self.handle = handle
-        self._closed = False
-
-    @property
-    def name(self) -> str:
-        return self.handle.shm_name
-
-    @property
-    def size(self) -> int:
-        return self._shm.size
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @classmethod
-    def create(
-        cls, compiled: CompiledStructureIndex
-    ) -> "SharedCompiledIndex":
-        """Copy ``compiled``'s trie arrays into a fresh segment.
-
-        Layout: all float64 node-weight vectors first (8-aligned at
-        offset 0), then every int32 structural array — so each region
-        can be cast from the raw buffer without padding.
-        """
-        from multiprocessing import shared_memory
-
-        specs: list[list[int]] = []
-        offset = 0
-        lengths = sorted(compiled.tries)
-        for length in lengths:
-            trie = compiled.tries[length]
-            if len(trie.node_weight) != trie.node_count:
-                raise ValueError(
-                    f"trie {length}: node weights not compiled"
-                )
-            specs.append([length, trie.node_count, offset, 0, 0, 0, 0])
-            offset += trie.node_count * _DOUBLE_SIZE
-        for spec in specs:
-            node_count = spec[1]
-            for slot in range(3, 7):
-                spec[slot] = offset
-                offset += node_count * _INT_SIZE
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        buf = shm.buf
-        for spec, length in zip(specs, lengths):
-            trie = compiled.tries[length]
-            _, node_count, w_off, fc_off, ns_off, tid_off, sid_off = spec
-            buf[w_off:w_off + node_count * _DOUBLE_SIZE] = _as_bytes(
-                trie.node_weight
-            )
-            for off, arr in (
-                (fc_off, trie.first_child),
-                (ns_off, trie.next_sibling),
-                (tid_off, trie.token_id),
-                (sid_off, trie.sentence_id),
-            ):
-                buf[off:off + node_count * _INT_SIZE] = _as_bytes(arr)
-        handle = SharedIndexHandle(
-            shm_name=shm.name,
-            tokens=compiled.tokens,
-            weights=compiled.weights,
-            sentence_count=len(compiled.sentences),
-            tries=tuple(tuple(spec) for spec in specs),
-        )
-        return cls(shm, handle)
-
-    def close(self) -> None:
-        """Release and unlink the segment (idempotent).
-
-        Safe to call while attached workers still hold their own
-        mappings — the segment disappears once the last mapping closes.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - exported views linger
-            pass
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-    def __enter__(self) -> "SharedCompiledIndex":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _attach_segment(name: str):
-    """Attach an existing segment without resource-tracker ownership.
-
-    On Python >= 3.13 that is the ``track=False`` flag.  Earlier
-    interpreters register every attach with the resource tracker, but
-    worker processes inherit (or reconnect to) the *parent's* tracker,
-    where the creator already registered the name — the duplicate
-    register is a set no-op, and the owner's ``unlink()`` unregisters
-    exactly once.  Explicitly unregistering here would make the owner's
-    later unlink a double-remove (KeyError noise in the tracker), so the
-    plain attach is left as-is.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        shm = shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        shm = shared_memory.SharedMemory(name=name)
-    # A view's cast memoryviews legitimately outlive this wrapper (the
-    # OS unmaps at process exit); make its close — which ``__del__``
-    # calls in arbitrary GC order — quiet about exported pointers.
-    original_close = shm.close
-
-    def _quiet_close() -> None:
-        try:
-            original_close()
-        except BufferError:
-            pass
-
-    shm.close = _quiet_close
-    return shm
-
-
-def from_shared(
-    handle: SharedIndexHandle,
-    *,
-    lengths: Iterable[int] | None = None,
-    weights: TokenWeights | None = None,
-) -> CompiledStructureIndex:
-    """Re-materialize a (shard of a) compiled index from shared memory.
-
-    Every trie array of the returned index is a zero-copy ``memoryview``
-    cast over the shared segment — the arrays behave like the usual
-    ``array('i')``/``array('d')`` buffers (indexing, iteration,
-    ``np.frombuffer``) without duplicating a byte per process.
-
-    ``lengths`` restricts the view to a shard's tries (sentence ids stay
-    global; excluded structures become empty placeholders).  ``weights``
-    other than the compiled ones fall back to per-process weight
-    vectors (structure still shared).  The returned index keeps its
-    segment mapping alive for its own lifetime.
-    """
-    shm = _attach_segment(handle.shm_name)
-    buf = memoryview(shm.buf)
-    wanted = set(lengths) if lengths is not None else None
-    if wanted is not None:
-        missing = wanted - set(handle.lengths)
-        if missing:
-            raise ValueError(f"unknown trie lengths: {sorted(missing)}")
-
-    if weights is None:
-        weights = handle.weights
-    same_weights = weights_key(weights) == weights_key(handle.weights)
-    tokens = handle.tokens
-    token_weight = array("d", (weights.of(t) for t in tokens))
-
-    tries: dict[int, CompiledTrie] = {}
-    for spec in handle.tries:
-        length, node_count, w_off, fc_off, ns_off, tid_off, sid_off = spec
-        if wanted is not None and length not in wanted:
-            continue
-        trie = CompiledTrie(
-            length=length,
-            first_child=buf[
-                fc_off:fc_off + node_count * _INT_SIZE
-            ].cast("i"),
-            next_sibling=buf[
-                ns_off:ns_off + node_count * _INT_SIZE
-            ].cast("i"),
-            token_id=buf[
-                tid_off:tid_off + node_count * _INT_SIZE
-            ].cast("i"),
-            node_weight=buf[
-                w_off:w_off + node_count * _DOUBLE_SIZE
-            ].cast("d"),
-            sentence_id=buf[
-                sid_off:sid_off + node_count * _INT_SIZE
-            ].cast("i"),
-        )
-        if not same_weights:
-            trie = trie.reweighted(token_weight)
-        tries[length] = trie
-
-    sentences: list[tuple[str, ...]] = [()] * handle.sentence_count
-    for trie in tries.values():
-        _collect_sentences(trie, tokens, sentences)
-    compiled = CompiledStructureIndex(
-        tokens=tokens,
-        token_ids={token: i for i, token in enumerate(tokens)},
-        token_weight=token_weight,
-        prime=tuple(t in PRIME_SUPERSET for t in tokens),
-        weights=weights,
-        tries=tries,
-        sentences=tuple(sentences),
-    )
-    # The memoryview casts borrow the mapping: pin it (and the cast
-    # root) to the index so the segment outlives every derived view.
-    object.__setattr__(compiled, "_shm", shm)
-    object.__setattr__(compiled, "_shm_buf", buf)
-    return compiled
-
-
-def partition_lengths(
-    compiled: CompiledStructureIndex, shards: int
-) -> tuple[tuple[int, ...], ...]:
-    """Bucket trie lengths into ``shards`` balanced groups by node count.
-
-    Deterministic greedy LPT: lengths are assigned largest trie first
-    (ties broken by ascending length) to the least-loaded shard (ties
-    broken by shard index), and each bucket is returned sorted.  Shards
-    may be empty when there are fewer tries than shards.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    loads = [0] * shards
-    buckets: list[list[int]] = [[] for _ in range(shards)]
-    order = sorted(
-        compiled.tries,
-        key=lambda length: (-compiled.tries[length].node_count, length),
-    )
-    for length in order:
-        target = min(range(shards), key=lambda shard: (loads[shard], shard))
-        loads[target] += compiled.tries[length].node_count
-        buckets[target].append(length)
-    return tuple(tuple(sorted(bucket)) for bucket in buckets)

@@ -74,9 +74,6 @@ def _slack(cut: float) -> float:
 KERNEL_COMPILED = "compiled"
 KERNEL_FLAT = "flat"
 KERNEL_REFERENCE = "reference"
-#: Stats label for searches fanned out by a sharded executor (not a
-#: constructible engine kernel: the per-shard workers run ``compiled``).
-KERNEL_SHARDED = "sharded"
 
 
 @dataclass(frozen=True)
@@ -114,14 +111,6 @@ class SearchStats:
     ``result_cache_hit`` marks stats returned from the LRU result cache
     (the counters then describe the original, cached search, which may
     have been a wider top-k than the request).
-
-    Under a sharded executor (``kernel == "sharded"``) the counters are
-    sums over every shard leg that ran, and the ``shards_*`` fields
-    describe the scatter itself: how many shards exist, how many were
-    actually searched (routing can skip whole shards), and how many legs
-    fell back to the coordinator's in-process engine (worker dead, over
-    deadline, or breaker open).  They are excluded from equality like
-    the other deployment-shape fields.
     """
 
     nodes_visited: int = 0
@@ -137,9 +126,6 @@ class SearchStats:
     kernel: str = field(default="", compare=False)
     dap_fallback: bool = field(default=False, compare=False)
     result_cache_hit: bool = field(default=False, compare=False)
-    shards_total: int = field(default=0, compare=False)
-    shards_searched: int = field(default=0, compare=False)
-    shards_failed: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -194,14 +180,6 @@ class StructureSearchEngine:
         sharing an engine (the daemon's dispatch threads) never see an
         entry evicted between a lookup and its recency update; searches
         themselves run outside the lock.
-    executor:
-        Optional sharded fan-out executor (duck-typed; see
-        :class:`repro.core.shards.ShardedSearchExecutor`).  When set —
-        and the engine is on the ``compiled`` kernel without DAP — full
-        index searches are delegated to it; the executor must have been
-        built over this engine's compiled index with the same weights
-        and BDB setting, which the service wiring guarantees.  INV
-        subindex searches and the other kernels always run in-process.
     """
 
     index: StructureIndex
@@ -213,7 +191,6 @@ class StructureSearchEngine:
     kernel: str = KERNEL_COMPILED
     max_cached_results: int = 4096
     max_inv_subindexes: int = 64
-    executor: object | None = None
     _cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _inv_subindexes: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _lock: threading.Lock = field(
@@ -306,14 +283,6 @@ class StructureSearchEngine:
             if subindex is not None:
                 self._search_index(subindex, masked, top, stats)
                 return top.results(), stats
-
-        executor = self.executor
-        if (
-            executor is not None
-            and self.kernel == KERNEL_COMPILED
-            and not self.use_dap
-        ):
-            return executor.search(masked, k, stats=stats)
 
         self._search_index(self.index, masked, top, stats)
         return top.results(), stats

@@ -1,5 +1,5 @@
-"""Wire-level trace correlation on the Tracer: thread-bound trace ids,
-cross-process span adoption, and the drain used by streaming sinks."""
+"""Wire-level trace correlation on the Tracer: thread-bound trace ids
+and the drain used by streaming sinks."""
 
 from __future__ import annotations
 
@@ -58,60 +58,6 @@ class TestTraceIdBinding:
     def test_disabled_tracer_ignores_binding(self):
         NULL_TRACER.set_trace_id("t-1")
         assert NULL_TRACER.trace_id() is None
-
-
-class TestAdoption:
-    def _foreign_spans(self) -> list[dict]:
-        """Two spans from a 'worker process' tracer: a root and a child
-        with their own id space and their own t0."""
-        foreign = Tracer()
-        foreign.set_trace_id("t-9")
-        with foreign.span("shard.worker.search", shard=1) as root:
-            with foreign.span("stage.structure_search"):
-                pass
-        assert root.span_id != 0
-        return foreign.to_dicts()
-
-    def test_roots_reparent_and_links_survive(self):
-        coordinator = Tracer()
-        with coordinator.span("shard.search", shard=1) as leg:
-            adopted = coordinator.adopt(self._foreign_spans(), parent=leg)
-        by_name = {s.name: s for s in adopted}
-        worker = by_name["shard.worker.search"]
-        stage = by_name["stage.structure_search"]
-        assert worker.parent_id == leg.span_id
-        assert stage.parent_id == worker.span_id  # intra-batch link kept
-
-    def test_ids_are_remapped_into_the_local_space(self):
-        coordinator = Tracer()
-        with coordinator.span("shard.search") as leg:
-            adopted = coordinator.adopt(self._foreign_spans(), parent=leg)
-        local_ids = {s.span_id for s in coordinator.spans}
-        assert len(local_ids) == len(coordinator.spans)  # no collisions
-        assert {s.span_id for s in adopted} <= local_ids
-
-    def test_times_rebase_to_the_parent_start(self):
-        coordinator = Tracer()
-        with coordinator.span("shard.search") as leg:
-            adopted = coordinator.adopt(self._foreign_spans(), parent=leg)
-        earliest = min(s.start for s in adopted)
-        assert abs(earliest - leg.start) < 1e-9
-        for span in adopted:
-            assert span.end >= span.start
-
-    def test_attributes_and_trace_id_survive_adoption(self):
-        coordinator = Tracer()
-        with coordinator.span("shard.search") as leg:
-            adopted = coordinator.adopt(self._foreign_spans(), parent=leg)
-        worker = next(s for s in adopted if s.name == "shard.worker.search")
-        assert worker.attributes["shard"] == 1
-        assert worker.attributes["trace_id"] == "t-9"
-
-    def test_empty_and_disabled_adopt_are_noops(self):
-        coordinator = Tracer()
-        with coordinator.span("x") as parent:
-            assert coordinator.adopt([], parent=parent) == []
-        assert NULL_TRACER.adopt(self._foreign_spans(), parent=None) == []
 
 
 class TestDrain:

@@ -35,8 +35,8 @@ def make_runtime(request, **kwargs) -> ServingRuntime:
 
 @pytest.fixture(scope="module")
 def runtime(request):
-    # daemon.run shuts the runtime down on EOF; for an unsharded service
-    # that only flushes traces, so the runtime stays usable.
+    # daemon.run shuts the runtime down on EOF; that only flushes
+    # traces, so the runtime stays usable.
     return make_runtime(request)
 
 

@@ -1,7 +1,7 @@
 """The live telemetry plane: /metrics + /statusz on the daemon's ports,
 deterministic statusz percentiles under a fake clock, trace sampling
-into the rotating sink, wire trace-id generation/echo, cross-process
-shard span correlation, and prompt flush-on-signal for the CLI daemon.
+into the rotating sink, wire trace-id generation/echo, and prompt
+flush-on-signal for the CLI daemon.
 """
 
 from __future__ import annotations
@@ -23,7 +23,12 @@ from repro.observability import RotatingTraceSink, Tracer
 from repro.observability import names as obs_names
 from repro.observability.export import read_trace_jsonl
 from repro.observability.metrics import Histogram, MetricsRegistry
-from repro.serving import AsyncServingDaemon, ServingRuntime, ensure_trace_id
+from repro.serving import (
+    DEFAULT_LADDER,
+    AsyncServingDaemon,
+    ServingRuntime,
+    ensure_trace_id,
+)
 from repro.serving.telemetry import (
     PROMETHEUS_CONTENT_TYPE,
     AsyncTelemetryServer,
@@ -137,7 +142,9 @@ class TestStatusz:
         assert set(breakers) <= set(statusz["ladder"]["rungs"])
         assert breakers.get("requested") == "closed"
         assert statusz["latency"]["cumulative"]["count"] == 1
-        assert statusz["shard_pool_ok"] is True
+        assert statusz["ladder"]["rungs"] == [
+            rung.name for rung in DEFAULT_LADDER
+        ]
 
     def test_statusz_is_json_serializable(self, request, artifacts):
         runtime = make_runtime(request, artifacts)
@@ -321,49 +328,6 @@ class TestWireTraceIds:
             json.dumps({"id": 3, "text": "x", "trace_id": 7}),
         )
         assert out["error_kind"] == "invalid_request"
-
-
-class TestShardSpanCorrelation:
-    def test_worker_spans_reparent_under_the_coordinator_leg(
-        self, request, artifacts, tmp_path
-    ):
-        small_catalog = request.getfixturevalue("small_catalog")
-        service = SpeakQLService(small_catalog, artifacts=artifacts)
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-        sink = RotatingTraceSink(tmp_path / "trace.jsonl")
-        try:
-            service.enable_sharding(2, tracer=tracer, metrics=metrics)
-            runtime = ServingRuntime(
-                service, tracer=tracer, metrics=metrics, trace_sink=sink,
-            )
-            response = runtime.submit(
-                QueryRequest(
-                    text="SELECT FirstName FROM Employees",
-                    trace_id="t-shard",
-                )
-            )
-            assert response.outcome == "served"
-            runtime.flush_traces()
-        finally:
-            sink.close()
-            service.close()
-
-        spans = read_trace_jsonl(tmp_path / "trace.jsonl")
-        by_id = {s["span_id"]: s for s in spans}
-        workers = [s for s in spans if s["name"] == "shard.worker.search"]
-        assert workers, f"no worker spans in {[s['name'] for s in spans]}"
-        for worker in workers:
-            assert worker["attributes"]["trace_id"] == "t-shard"
-            parent = by_id[worker["parent_id"]]
-            assert parent["name"] == "shard.search"
-            assert parent["attributes"]["shard"] == (
-                worker["attributes"]["shard"]
-            )
-        # Per-shard kernel counters reached the coordinator registry.
-        page_names = metrics.names()
-        assert obs_names.SHARD_NODES_VISITED in page_names
-        assert obs_names.SHARD_ROWS_PRUNED in page_names
 
 
 class TestSignalFlush:

@@ -1,22 +1,16 @@
-"""Shared-memory export of the compiled index, partitioning, and the
-buffer-reuse guarantees of ``reweighted``/``subset``.
+"""Buffer sharing between compiled-index weight variants.
 
-The sharded executor's whole premise is that ``to_shared()`` /
-``from_shared()`` round-trip the compiled arrays exactly and that
-shard views share (never copy) the structural buffers — these tests pin
-both down independently of any worker process.
+``CompiledStructureIndex.reweighted`` derives a variant for different
+token weights; these tests pin down that the variants share (never
+copy) the structural trie arrays, and reuse whole tries whose weights
+did not change.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.structure.compiled import (
-    CompiledStructureIndex,
-    from_shared,
-    partition_lengths,
-    weights_key,
-)
+from repro.structure.compiled import CompiledStructureIndex
 from repro.structure.edit_distance import DEFAULT_WEIGHTS, TokenWeights, UNIT_WEIGHTS
 from repro.structure.indexer import StructureIndex
 from repro.structure.search import StructureSearchEngine
@@ -26,116 +20,6 @@ from repro.structure.search import StructureSearchEngine
 def compiled(request) -> CompiledStructureIndex:
     small_index = request.getfixturevalue("small_index")
     return small_index.compiled()
-
-
-def _trie_arrays_equal(a, b) -> bool:
-    return (
-        a.length == b.length
-        and list(a.first_child) == list(b.first_child)
-        and list(a.next_sibling) == list(b.next_sibling)
-        and list(a.token_id) == list(b.token_id)
-        and list(a.sentence_id) == list(b.sentence_id)
-        and list(a.node_weight) == list(b.node_weight)
-    )
-
-
-class TestSharedRoundTrip:
-    def test_round_trip_preserves_every_array(self, compiled):
-        with compiled.to_shared() as shared:
-            view = from_shared(shared.handle)
-            assert view.tokens == compiled.tokens
-            assert list(view.token_weight) == list(compiled.token_weight)
-            assert sorted(view.tries) == sorted(compiled.tries)
-            for length, trie in compiled.tries.items():
-                assert _trie_arrays_equal(view.tries[length], trie)
-            assert view.sentences == compiled.sentences
-
-    def test_restricted_view_blanks_foreign_sentences(self, compiled):
-        lengths = sorted(compiled.tries)
-        keep = tuple(lengths[: len(lengths) // 2])
-        with compiled.to_shared() as shared:
-            view = from_shared(shared.handle, lengths=keep)
-            assert sorted(view.tries) == sorted(keep)
-            kept_ids = {
-                sid
-                for trie in view.tries.values()
-                for sid in trie.sentence_id
-                if sid >= 0
-            }
-            for sid, sentence in enumerate(view.sentences):
-                if sid in kept_ids:
-                    assert sentence == compiled.sentences[sid]
-                else:
-                    assert sentence == ()
-
-    def test_unknown_restriction_length_is_rejected(self, compiled):
-        with compiled.to_shared() as shared:
-            with pytest.raises(ValueError, match="unknown trie lengths"):
-                from_shared(shared.handle, lengths=(999,))
-
-    def test_view_reweights_on_attach(self, compiled):
-        with compiled.to_shared() as shared:
-            view = from_shared(shared.handle, weights=UNIT_WEIGHTS)
-            want = compiled.reweighted(UNIT_WEIGHTS)
-            assert weights_key(view.weights) == weights_key(UNIT_WEIGHTS)
-            for length, trie in want.tries.items():
-                assert list(view.tries[length].node_weight) == list(
-                    trie.node_weight
-                )
-
-    def test_close_is_idempotent(self, compiled):
-        shared = compiled.to_shared()
-        assert not shared.closed
-        shared.close()
-        assert shared.closed
-        shared.close()  # second close must not raise
-
-    def test_search_over_shared_view_matches_original(self, compiled):
-        engine = StructureSearchEngine(
-            StructureIndex.from_compiled(compiled), kernel="compiled"
-        )
-        masked = tuple("SELECT x FROM x WHERE x = x".split())
-        want, _ = engine.search(masked, k=5)
-        with compiled.to_shared() as shared:
-            view = from_shared(shared.handle)
-            got, _ = StructureSearchEngine(
-                StructureIndex.from_compiled(view), kernel="compiled"
-            ).search(masked, k=5)
-        assert [(r.distance, r.structure) for r in got] == [
-            (r.distance, r.structure) for r in want
-        ]
-
-
-class TestPartitioner:
-    def test_partitions_cover_all_lengths_exactly_once(self, compiled):
-        for shards in (1, 2, 3, 4, 7):
-            parts = partition_lengths(compiled, shards)
-            assert len(parts) == shards
-            flat = [length for part in parts for length in part]
-            assert sorted(flat) == sorted(compiled.tries)
-
-    def test_partitioning_is_deterministic(self, compiled):
-        assert partition_lengths(compiled, 3) == partition_lengths(compiled, 3)
-
-    def test_partitions_are_balanced_by_node_count(self, compiled):
-        parts = partition_lengths(compiled, 2)
-        loads = [
-            sum(compiled.tries[length].node_count for length in part)
-            for part in parts
-        ]
-        # Greedy LPT guarantee: the heavier shard exceeds the lighter by
-        # at most the largest single trie.
-        assert max(loads) - min(loads) <= compiled.largest_trie_nodes()
-
-    def test_more_shards_than_tries_leaves_empties(self, compiled):
-        shards = len(compiled.tries) + 3
-        parts = partition_lengths(compiled, shards)
-        assert len(parts) == shards
-        assert sum(1 for part in parts if part) == len(compiled.tries)
-
-    def test_zero_shards_rejected(self, compiled):
-        with pytest.raises(ValueError):
-            partition_lengths(compiled, 0)
 
 
 class TestReweightedBufferReuse:
@@ -181,28 +65,3 @@ class TestReweightedBufferReuse:
         masked = tuple("SELECT x FROM x".split())
         results, _ = engine.search(masked, k=3)
         assert results and results[0].distance >= 0
-
-
-class TestSubsetView:
-    def test_subset_shares_trie_objects(self, compiled):
-        lengths = sorted(compiled.tries)[:2]
-        view = compiled.subset(lengths)
-        for length in lengths:
-            assert view.tries[length] is compiled.tries[length]
-        assert view.token_weight is compiled.token_weight
-
-    def test_subset_search_matches_full_index_on_covered_lengths(
-        self, compiled
-    ):
-        lengths = sorted(compiled.tries)
-        view = compiled.subset(lengths)  # full cover: results must match
-        masked = tuple("SELECT x FROM x WHERE x = x".split())
-        want, _ = StructureSearchEngine(
-            StructureIndex.from_compiled(compiled), kernel="compiled"
-        ).search(masked, k=5)
-        got, _ = StructureSearchEngine(
-            StructureIndex.from_compiled(view), kernel="compiled"
-        ).search(masked, k=5)
-        assert [(r.distance, r.structure) for r in got] == [
-            (r.distance, r.structure) for r in want
-        ]

@@ -134,83 +134,9 @@ class TestServingEntry:
         [entry] = bench_history.read_history(history_path)
         assert entry["benchmark"] == "serving_throughput"
 
-
-def _scaling_report(shard_counts=(0, 2), queries=40):
-    rows = [
-        {
-            "shards": shards,
-            "outcomes": {"served": queries},
-            "answered": queries,
-            "answered_fraction": 1.0,
-            "throughput_qps": 10.0 + index,
-            "median_ms": 100.0 - index,
-            "p95_ms": 200.0,
-            "total_s": queries / (10.0 + index),
-            "speedup_vs_first": (10.0 + index) / 10.0,
-        }
-        for index, shards in enumerate(shard_counts)
-    ]
-    return {
-        "benchmark": "serving_shard_scaling",
-        "queries": queries,
-        "workers": 2,
-        "deadline_ms": None,
-        "rows": rows,
-    }
-
-
-class TestShardScalingEntries:
-    def test_one_entry_per_shard_count_with_distinct_keys(self):
-        entries = bench_history.entries_from_report(
-            _scaling_report((0, 1, 2, 4)), "scale.json"
-        )
-        assert [e["shards"] for e in entries] == [0, 1, 2, 4]
-        assert [e["key"] for e in entries] == [
-            "serving_shard_scaling@q40ms0s0",
-            "serving_shard_scaling@q40ms0s1",
-            "serving_shard_scaling@q40ms0s2",
-            "serving_shard_scaling@q40ms0s4",
-        ]
-        assert all(e["source"] == "scale.json" for e in entries)
-        assert entries[1]["speedup_vs_first"] == pytest.approx(1.1)
-
     def test_single_reports_pass_through_unchanged(self):
         [entry] = bench_history.entries_from_report(_serving_report(), "s")
         assert entry == bench_history.entry_from_report(_serving_report(), "s")
-
-    def test_scaling_report_rejected_by_single_entry_path(self):
-        with pytest.raises(KeyError, match="entries_from_report"):
-            bench_history.entry_from_report(_scaling_report(), "s")
-
-    def test_main_appends_every_row(self, tmp_path):
-        report_path = tmp_path / "scale.json"
-        report_path.write_text(json.dumps(_scaling_report((0, 2, 4))))
-        history_path = tmp_path / "history.jsonl"
-        code = bench_history.main(
-            [str(report_path), "--history", str(history_path)]
-        )
-        assert code == 0
-        entries = bench_history.read_history(history_path)
-        assert [e["key"][-2:] for e in entries] == ["s0", "s2", "s4"]
-
-    def test_rows_gate_against_their_own_shard_count(self, tmp_path):
-        history_path = tmp_path / "history.jsonl"
-        first = tmp_path / "first.json"
-        first.write_text(json.dumps(_scaling_report((0, 2))))
-        assert bench_history.main(
-            [str(first), "--history", str(history_path)]
-        ) == 0
-        # Second sweep: the s2 row regresses far beyond the allowance,
-        # the s0 row does not — the gate must still trip.
-        regressed = _scaling_report((0, 2))
-        regressed["rows"][1]["median_ms"] = 500.0
-        second = tmp_path / "second.json"
-        second.write_text(json.dumps(regressed))
-        code = bench_history.main(
-            [str(second), "--history", str(history_path)]
-        )
-        assert code == 1
-        assert len(bench_history.read_history(history_path)) == 4
 
 
 def _literal_voting_report(queries=8, train=30):
@@ -339,7 +265,7 @@ class TestMachineStamp:
         nproc = bench_history.machine_stamp()["nproc"]
         single = bench_history.entry_from_report(_report(), "s")
         assert single["nproc"] == nproc
-        for report in (_serving_report(), _scaling_report()):
+        for report in (_serving_report(), _literal_voting_report()):
             for entry in bench_history.entries_from_report(report, "s"):
                 assert entry["nproc"] == nproc
 
@@ -367,6 +293,34 @@ class TestMachineStamp:
             _report(median_ms=1.0), "old"
         )
         entry = bench_history.entry_from_report(_report(median_ms=50.0), "new")
+        verdict = bench_history.check_regression(entry, [baseline])
+        assert verdict is not None and "slower" in verdict
+
+    def test_stamp_records_the_hash_seed(self, monkeypatch):
+        monkeypatch.setenv("PYTHONHASHSEED", "0")
+        assert bench_history.machine_stamp()["pythonhashseed"] == "0"
+        entry = bench_history.entry_from_report(_report(), "s")
+        assert entry["pythonhashseed"] == "0"
+        monkeypatch.delenv("PYTHONHASHSEED")
+        assert bench_history.machine_stamp()["pythonhashseed"] == "random"
+
+    def test_cross_hash_seed_entries_never_compared(self):
+        baseline = bench_history.entry_from_report(
+            _report(median_ms=1.0), "old"
+        )
+        baseline["pythonhashseed"] = "0"
+        entry = bench_history.entry_from_report(_report(median_ms=50.0), "new")
+        entry["pythonhashseed"] = "random"
+        # 50x slower, but under a different hash seed: skip.
+        assert bench_history.check_regression(entry, [baseline]) is None
+
+    def test_pre_hash_seed_entries_match_any_seed(self):
+        baseline = bench_history.entry_from_report(
+            _report(median_ms=1.0), "old"
+        )
+        del baseline["pythonhashseed"]
+        entry = bench_history.entry_from_report(_report(median_ms=50.0), "new")
+        entry["pythonhashseed"] = "0"
         verdict = bench_history.check_regression(entry, [baseline])
         assert verdict is not None and "slower" in verdict
 

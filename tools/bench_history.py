@@ -11,13 +11,11 @@ key.
 The key includes the workload size (``structure_search_kernels@max15``,
 ``serving_throughput@q40ms50``), so a CI smoke run is only ever
 compared against earlier smoke runs — never against the committed
-full-size report.  A ``serving_shard_scaling`` report (the
-``--scale-shards`` sweep of ``bench_serving.py``) appends one entry
-per shard count, keyed ``serving_shard_scaling@q40ms0s2``, and a
-``telemetry_overhead`` report (the ``--telemetry-overhead`` pricing of
-the live telemetry plane) one entry per observability configuration,
-keyed ``telemetry_overhead@q32cmetrics`` — each configuration tracks
-its own trajectory.  A ``session`` report (``bench_session.py``)
+full-size report.  A ``telemetry_overhead`` report (the
+``--telemetry-overhead`` pricing of the live telemetry plane) appends
+one entry per observability configuration, keyed
+``telemetry_overhead@q32cmetrics`` — each configuration tracks its own
+trajectory.  A ``session`` report (``bench_session.py``)
 appends one entry per phase — cold full decode vs warm correction
 turn — keyed ``session@q32m18pcold`` / ``session@q32m18pwarm``.  A
 ``literal_voting`` report (``bench_literal_voting.py``) appends one
@@ -30,11 +28,14 @@ latency it keeps the work counters a kernel or memo change is judged
 by: kernel ``nodes_visited`` per dictation and the placeholder-memo
 hit ratio.
 
-Every entry is stamped with the machine's core count (``nproc``), and
-the regression gate only compares entries recorded on the same core
-count: a run on a 1-core CI box is never judged against a 16-core
-workstation's trajectory.  Entries predating the stamp compare against
-anything (there is nothing to disagree with).
+Every entry is stamped with the machine's core count (``nproc``) and
+the run's ``PYTHONHASHSEED`` (``pythonhashseed``: the environment
+value, or ``"random"`` when unset), and the regression gate only
+compares entries with equal stamps: a run on a 1-core CI box is never
+judged against a 16-core workstation's trajectory, nor a pinned-seed
+run against a random-seed one (set iteration order, and with it tied
+n-best alternatives, follows the hash seed).  Entries predating a
+stamp compare against anything (there is nothing to disagree with).
 
 A run that did not answer its load is refused, not recorded: when any
 entry of a report has ``answered_fraction`` below 0.99, nothing is
@@ -72,9 +73,16 @@ DEFAULT_MAX_REGRESSION = 0.25
 MIN_ANSWERED_FRACTION = 0.99
 
 
+#: Stamp fields the regression gate matches on (see :func:`check_regression`).
+STAMP_KEYS = ("nproc", "pythonhashseed")
+
+
 def machine_stamp() -> dict:
-    """Hardware facts every entry carries (compare like with like)."""
-    return {"nproc": os.cpu_count()}
+    """Run-environment facts every entry carries (compare like with like)."""
+    return {
+        "nproc": os.cpu_count(),
+        "pythonhashseed": os.environ.get("PYTHONHASHSEED", "random"),
+    }
 
 
 def entry_from_report(report: dict, source: str) -> dict:
@@ -85,8 +93,7 @@ def entry_from_report(report: dict, source: str) -> dict:
     throughput report of ``benchmarks/bench_serving.py``.  Both yield a
     ``median_ms``, which is what the regression gate compares.
     """
-    if report.get("benchmark") in ("serving_shard_scaling",
-                                   "telemetry_overhead",
+    if report.get("benchmark") in ("telemetry_overhead",
                                    "literal_voting",
                                    "dictation_searches"):
         raise KeyError(
@@ -136,7 +143,7 @@ def entry_from_report(report: dict, source: str) -> dict:
 
 def entries_from_report(report: dict, source: str) -> list[dict]:
     """All history lines from a report — usually one, but the sweeps
-    (``serving_shard_scaling``, ``telemetry_overhead``, ...) yield one
+    (``telemetry_overhead``, ``session``, ...) yield one
     per row."""
     benchmark = report.get("benchmark")
     recorded_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -241,32 +248,7 @@ def entries_from_report(report: dict, source: str) -> list[dict]:
             }
             for row in report["rows"]
         ]
-    if benchmark != "serving_shard_scaling":
-        return [entry_from_report(report, source)]
-    deadline_ms = report["deadline_ms"]
-    base_key = (
-        f"{benchmark}@q{report['queries']}"
-        f"ms{deadline_ms if deadline_ms is not None else 0:g}"
-    )
-    return [
-        {
-            "key": f"{base_key}s{row['shards']}",
-            "benchmark": benchmark,
-            "queries": report["queries"],
-            "deadline_ms": deadline_ms,
-            "shards": row["shards"],
-            "median_ms": row["median_ms"],
-            "p95_ms": row["p95_ms"],
-            "throughput_qps": row["throughput_qps"],
-            "speedup_vs_first": row["speedup_vs_first"],
-            "answered_fraction": row["answered_fraction"],
-            "outcomes": row["outcomes"],
-            "source": source,
-            "recorded_at": recorded_at,
-            **stamp,
-        }
-        for row in report["rows"]
-    ]
+    return [entry_from_report(report, source)]
 
 
 def read_history(path: Path) -> list[dict]:
@@ -293,18 +275,19 @@ def check_regression(
     """A human-readable verdict when ``entry`` regressed, else ``None``.
 
     Compares against the most recent earlier entry sharing the key
-    *and* core count — latency on a 1-core box is not a regression of a
-    16-core run.  Entries predating the ``nproc`` stamp match any core
-    count.
+    *and* every :data:`STAMP_KEYS` value — latency on a 1-core box is
+    not a regression of a 16-core run, and a run under one hash seed is
+    not judged against another's.  An entry predating a stamp field
+    matches any value of it.
     """
     previous = next(
         (
             e
             for e in reversed(history)
             if e.get("key") == entry["key"]
-            and (
-                e.get("nproc") is None
-                or e.get("nproc") == entry.get("nproc")
+            and all(
+                e.get(stamp) is None or e.get(stamp) == entry.get(stamp)
+                for stamp in STAMP_KEYS
             )
         ),
         None,

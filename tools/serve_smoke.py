@@ -17,16 +17,11 @@ dictation, and a dictation with a 1 ms deadline — and asserts:
 - ``GET /healthz`` answers 200 with the matching outcome counts and
   ``GET /readyz`` reports readiness;
 - ``GET /metrics`` on the same probe port serves Prometheus text naming
-  the serving counters and the rolling end-to-end window (plus the per-shard kernel counters with
-  ``shard=`` labels when ``--shards`` is on), and ``GET /statusz``
-  reports the degradation ladder, breaker states, queue occupancy, and
-  rolling latency percentiles;
+  the serving counters and the rolling end-to-end window, and
+  ``GET /statusz`` reports the degradation ladder, breaker states,
+  queue occupancy, and rolling latency percentiles;
 - SIGTERM with stdin still open stops the daemon promptly: it exits 0
   and still writes ``--metrics-out``.
-
-``--shards K`` runs the daemon with a sharded search pool; the same
-assertions apply (sharding is bit-identical and invisible on the wire),
-plus ``/healthz`` must report K shards with a live worker in each.
 
 ``--tcp`` drives the daemon over TCP instead (``repro serve --port
 0``): two concurrent TCP clients fire requests simultaneously, a 1
@@ -38,7 +33,6 @@ EOF shuts everything down cleanly.
 Run from the repository root::
 
     python tools/serve_smoke.py
-    python tools/serve_smoke.py --shards 2
     python tools/serve_smoke.py --tcp
 """
 
@@ -118,23 +112,17 @@ def fetch(url: str) -> tuple[int, bytes]:
         return r.status, r.read()
 
 
-def check_telemetry(base_url: str, *, shards: int = 0) -> None:
+def check_telemetry(base_url: str) -> None:
     """Assert /metrics and /statusz on ``base_url`` look operable."""
     status, body = fetch(base_url + "/metrics")
     if status != 200:
         fail(f"/metrics answered {status}")
     page = body.decode("utf-8")
-    required = ["speakql_serving_requests_total",
-                "speakql_serving_outcomes_total",
-                "speakql_serving_e2e_window_seconds"]
-    if shards:
-        required += ["speakql_shard_nodes_visited_total",
-                     "speakql_shard_rows_pruned_total"]
-    for name in required:
+    for name in ("speakql_serving_requests_total",
+                 "speakql_serving_outcomes_total",
+                 "speakql_serving_e2e_window_seconds"):
         if name not in page:
             fail(f"/metrics is missing {name}")
-    if shards and f'shard="{shards - 1}"' not in page:
-        fail(f"/metrics has no shard=\"{shards - 1}\" labelled series")
 
     status, body = fetch(base_url + "/statusz")
     if status != 200:
@@ -155,8 +143,6 @@ def check_telemetry(base_url: str, *, shards: int = 0) -> None:
         quantiles = latency.get(side) or {}
         if not {"count", "p50_ms", "p95_ms", "p99_ms"} <= set(quantiles):
             fail(f"/statusz latency.{side} incomplete: {latency}")
-    if shards and not statusz.get("shard_pool_ok", False):
-        fail(f"/statusz reports unhealthy shard pool: {statusz.get('shards')}")
 
 
 class _TcpClient:
@@ -325,8 +311,6 @@ def run_tcp_smoke(env: dict) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shards", type=int, default=0,
-                        help="run the daemon with a K-worker shard pool")
     parser.add_argument("--tcp", action="store_true",
                         help="drive the daemon over concurrent TCP "
                              "clients instead of stdin")
@@ -341,8 +325,6 @@ def main() -> int:
     command = [sys.executable, "-m", "repro", "serve",
                "--schema", "employees", "--health-port", "0",
                "--metrics-out", str(metrics_out)]
-    if args.shards:
-        command += ["--shards", str(args.shards)]
     proc = subprocess.Popen(
         command,
         stdin=subprocess.PIPE,
@@ -409,15 +391,9 @@ def main() -> int:
             fail(f"healthz served count != 5: {health['outcomes']}")
         if health["outcomes"]["timeout"] != 1:
             fail(f"healthz timeout count != 1: {health['outcomes']}")
-        if args.shards:
-            shards = health.get("shards") or {}
-            if shards.get("shards") != args.shards:
-                fail(f"expected {args.shards} shards in healthz: {shards}")
-            if not health.get("shard_pool_ok"):
-                fail(f"shard pool not healthy: {shards}")
 
         # The probe port doubles as the telemetry plane.
-        check_telemetry(health_url, shards=args.shards)
+        check_telemetry(health_url)
 
         # An orchestrator stop: SIGTERM while stdin is still open.
         proc.send_signal(signal.SIGTERM)
@@ -434,11 +410,10 @@ def main() -> int:
             proc.kill()
             proc.wait()
         shutil.rmtree(metrics_out.parent, ignore_errors=True)
-    suffix = f" ({args.shards} shards)" if args.shards else ""
     print(
         "serve smoke OK: 5 served (incl. a two-turn correction session), "
         "1 timeout, health and readiness probes answered, SIGTERM stop "
-        f"wrote metrics{suffix}"
+        "wrote metrics"
     )
     return 0
 
