@@ -165,8 +165,8 @@ METRIC_NAMES: dict[str, str] = {
     SEARCH_TRIES_SKIPPED: "counter — tries skipped by the BDB bound.",
     SEARCH_CANDIDATES_SCORED: "counter — terminal structures offered to "
                               "the top-k.",
-    SEARCH_LEVELS_VISITED: "counter — breadth-first levels processed by "
-                           "the compiled kernel.",
+    SEARCH_LEVELS_VISITED: "counter — depths of the compiled kernel's "
+                           "one pass over every trie.",
     SEARCH_ROWS_PRUNED: "counter — node rows compacted away by the "
                         "compiled kernel's band/threshold prune.",
     SEARCH_BEAM_BOUND_UPDATES: "counter — beam-probe prune bounds seeded "

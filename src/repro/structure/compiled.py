@@ -11,20 +11,24 @@ string:
   inner DP loop never calls ``classify_token`` or hashes a string);
 - each per-length trie flattened into contiguous **first-child /
   next-sibling arrays** (``array('i')`` / ``array('d')``) carrying node
-  token ids, per-node operation weights, and terminal sentence ids.
+  token ids, per-node operation weights, and terminal sentence ids;
+- one breadth-first **level plan** (:meth:`CompiledStructureIndex.level_plan`,
+  built on first use) laying every trie's depth-``d`` nodes side by side
+  as int32 numpy arrays, so the compiled search kernel takes one numpy
+  step per depth for all tries at once.
 
 The compiled form is weight-specific (the per-id/per-node weight vectors
 bake in one :class:`TokenWeights`); :meth:`CompiledStructureIndex.reweighted`
 derives a variant for different weights while sharing every structural
-array.  ``repro.structure.persistence`` serializes the flat arrays
-directly, so a cached index loads without re-inserting token sequences
-into pointer-heavy tries.
+array and the level plan.  ``repro.structure.persistence`` serializes
+the flat arrays directly, so a cached index loads without re-inserting
+token sequences into pointer-heavy tries.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,7 +56,7 @@ def span_state_key(
 
     The compiled kernel's per-span DP/beam work is fully determined by
     the masked span tokens and the edit weights in force (the level
-    plan and per-level weight tables are functions of the index +
+    plan is a function of the index, node weights of the index +
     weights).  The serving layer's
     :class:`~repro.serving.sessions.SessionStore` keys cached span
     decodes by this tuple, so reweighting the index (see
@@ -60,34 +64,6 @@ def span_state_key(
     span rather than silently replaying stale distances.
     """
     return (tuple(masked), weights_key(weights))
-
-
-@dataclass(frozen=True)
-class TrieLevel:
-    """One breadth-first level of a compiled trie, as numpy arrays.
-
-    Nodes appear parent-major (children of the previous level's first
-    node first), siblings in first-child/next-sibling order — so the
-    level's left-to-right order equals the depth-first left-to-right
-    order restricted to this depth.  The level-synchronous search kernel
-    consumes these directly.
-    """
-
-    #: Node indexes at this depth, parent-major.
-    order: np.ndarray
-    #: For each node, the row of its parent within the previous level.
-    parent_pos: np.ndarray
-    #: Interned token id per node.
-    token_id: np.ndarray
-    #: Sentence id per node (−1 for non-terminals).
-    sentence_id: np.ndarray
-    #: Whether any node at this depth is a terminal.
-    has_terminals: bool
-    #: Children of this level's node j occupy rows
-    #: ``child_start[j] : child_start[j] + child_count[j]`` of the next
-    #: level (the layout is parent-major, so sibling runs are contiguous).
-    child_start: np.ndarray
-    child_count: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,19 +89,6 @@ class CompiledTrie:
     def node_count(self) -> int:
         return len(self.first_child)
 
-    def levels(self) -> tuple[TrieLevel, ...]:
-        """Breadth-first level plan, built lazily and cached.
-
-        Purely structural (no weights), so a rebuild after
-        :meth:`reweighted` yields identical arrays.  The lazy build is
-        idempotent, which keeps concurrent first calls benign.
-        """
-        plan = getattr(self, "_levels", None)
-        if plan is None:
-            plan = _build_levels(self)
-            object.__setattr__(self, "_levels", plan)
-        return plan
-
     def reweighted(
         self, token_weight: array, changed: "set[int] | None" = None
     ) -> "CompiledTrie":
@@ -135,8 +98,7 @@ class CompiledTrie:
         actually differs from this trie's current weights.  A trie whose
         tokens are all outside that set is returned as-is (every buffer
         reused), so deriving a near-identical weight setting does not
-        duplicate the index.  The cached level plan is purely structural
-        and is carried over to the reweighted copy either way.
+        duplicate the index.
         """
         tid = self.token_id
         if (
@@ -148,7 +110,7 @@ class CompiledTrie:
         node_weight = array(
             "d", (token_weight[t] if t >= 0 else 0.0 for t in tid)
         )
-        trie = CompiledTrie(
+        return CompiledTrie(
             length=self.length,
             first_child=self.first_child,
             next_sibling=self.next_sibling,
@@ -156,10 +118,47 @@ class CompiledTrie:
             node_weight=node_weight,
             sentence_id=self.sentence_id,
         )
-        plan = getattr(self, "_levels", None)
-        if plan is not None:
-            object.__setattr__(trie, "_levels", plan)
-        return trie
+
+
+@dataclass(frozen=True)
+class PlanLevel:
+    """Every trie's nodes at one depth, side by side.
+
+    Tries appear in ascending length order and each trie's nodes
+    parent-major (children of its previous-level first node first),
+    siblings in first-child/next-sibling order.  Each trie's run is
+    therefore its depth-first left-to-right order restricted to this
+    depth, and ``length`` is nondecreasing along the level.  Because the
+    next level lists the same tries in the same order, the children of
+    node ``j`` occupy rows ``child_start[j] : child_start[j] +
+    child_count[j]`` of the next level.
+    """
+
+    #: Interned token id per node (−1 for the roots of level 0).
+    token_id: np.ndarray
+    #: Sentence id per node (−1 for non-terminals).
+    sentence_id: np.ndarray
+    #: Length of the trie the node belongs to.
+    length: np.ndarray
+    child_start: np.ndarray
+    child_count: np.ndarray
+
+
+@dataclass(frozen=True)
+class LevelPlan:
+    """Breadth-first layout of every length trie, for one pass over depth.
+
+    ``levels[0]`` holds one root per trie, in ascending length order;
+    ``levels[d]`` every trie's depth-``d`` nodes.  A length-``L`` trie
+    holds structures of exactly ``L`` tokens, so its terminals are its
+    depth-``L`` nodes and it has no deeper ones.  All arrays are int32
+    and purely structural (node weights are looked up by token id), so
+    every weight variant of an index shares one plan.
+    """
+
+    levels: tuple[PlanLevel, ...]
+    #: Structure count per trie length.
+    structures: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ class CompiledStructureIndex:
     """An immutable lowered :class:`StructureIndex`.
 
     Shared read-only across worker threads: nothing in it mutates after
-    :meth:`compile` returns.
+    :meth:`compile` returns except the lazily built :meth:`level_plan`.
     """
 
     #: Intern table: id -> token, token -> id.
@@ -182,9 +181,22 @@ class CompiledStructureIndex:
     tries: dict[int, CompiledTrie]
     #: Terminal structures by sentence id (DFS discovery order).
     sentences: tuple[tuple[str, ...], ...]
+    #: One-slot holder of the :class:`LevelPlan`, shared by every
+    #: :meth:`reweighted` variant.
+    _plan: list = field(default_factory=list, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.sentences)
+
+    def level_plan(self) -> LevelPlan:
+        """The breadth-first plan of every trie, built lazily and cached.
+
+        The build is idempotent, which keeps concurrent first calls
+        benign.
+        """
+        if not self._plan:
+            self._plan.append(_build_plan(self.tries))
+        return self._plan[0]
 
     @property
     def lengths(self) -> list[int]:
@@ -251,11 +263,11 @@ class CompiledStructureIndex:
         """A compiled variant for different weights.
 
         Structural arrays (children, siblings, token ids, sentence ids)
-        are always shared.  Weight buffers are only recomputed where the
-        new weights actually change a value: when the per-id vector is
-        unchanged every trie is reused outright, and otherwise only the
-        tries touching a changed token id are rebuilt (the rest keep
-        their node-weight buffers too).
+        and the level plan are always shared.  Weight buffers are only
+        recomputed where the new weights actually change a value: when
+        the per-id vector is unchanged every trie is reused outright,
+        and otherwise only the tries touching a changed token id are
+        rebuilt (the rest keep their node-weight buffers too).
         """
         if weights_key(weights) == self.weights_key:
             return self
@@ -282,6 +294,7 @@ class CompiledStructureIndex:
             weights=weights,
             tries=tries,
             sentences=self.sentences,
+            _plan=self._plan,
         )
 
     # -- serialization ------------------------------------------------------
@@ -444,57 +457,68 @@ def _with_node_weights(compiled: CompiledStructureIndex) -> CompiledStructureInd
         weights=compiled.weights,
         tries=tries,
         sentences=compiled.sentences,
+        _plan=compiled._plan,
     )
 
 
-def _build_levels(trie: CompiledTrie) -> tuple[TrieLevel, ...]:
-    """Lay the trie out breadth-first for the level-synchronous kernel."""
-    fc = trie.first_child
-    ns = trie.next_sibling
-    tid = trie.token_id
-    sid = trie.sentence_id
-    raw: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    frontier = [0]
-    while True:
-        order: list[int] = []
-        parent_pos: list[int] = []
-        for p, node in enumerate(frontier):
-            child = fc[node]
-            while child != NO_NODE:
-                order.append(child)
-                parent_pos.append(p)
-                child = ns[child]
-        if not order:
-            break
-        raw.append(
-            (
-                np.array(order, dtype=np.intp),
-                np.array(parent_pos, dtype=np.intp),
-                np.array([tid[c] for c in order], dtype=np.intp),
-                np.array([sid[c] for c in order], dtype=np.intp),
-            )
+def _build_plan(tries: dict[int, CompiledTrie]) -> LevelPlan:
+    """Lay every trie out breadth-first, side by side per depth."""
+    depths = max(tries, default=0) + 1
+    token_id: list[list[int]] = [[] for _ in range(depths)]
+    sentence_id: list[list[int]] = [[] for _ in range(depths)]
+    length_of: list[list[int]] = [[] for _ in range(depths)]
+    child_count: list[list[int]] = [[] for _ in range(depths)]
+    structures: dict[int, int] = {}
+    for length in sorted(tries):
+        trie = tries[length]
+        fc, ns, tid, sid = (
+            trie.first_child,
+            trie.next_sibling,
+            trie.token_id,
+            trie.sentence_id,
         )
-        frontier = order
-    levels: list[TrieLevel] = []
-    for d, (order_a, parent_a, tid_a, sid_a) in enumerate(raw):
-        if d + 1 < len(raw):
-            counts = np.bincount(raw[d + 1][1], minlength=order_a.size)
-            counts = counts.astype(np.intp)
-        else:
-            counts = np.zeros(order_a.size, dtype=np.intp)
-        starts = np.cumsum(counts) - counts
+        structures[length] = sum(1 for s in sid if s != NO_NODE)
+        frontier = [0]
+        for depth in range(length + 1):
+            nxt: list[int] = []
+            for node in frontier:
+                before = len(nxt)
+                child = fc[node]
+                while child != NO_NODE:
+                    nxt.append(child)
+                    child = ns[child]
+                child_count[depth].append(len(nxt) - before)
+            sids = [sid[node] for node in frontier]
+            # The search kernel reads a trie's terminals off its deepest
+            # level; a loaded index must not break that.  (The root is
+            # never terminal in compiled form.)
+            leaf = depth == length
+            if depth and (
+                (leaf and nxt) or any((s != NO_NODE) != leaf for s in sids)
+            ):
+                raise ValueError(
+                    f"trie {length}: terminals are not exactly its "
+                    f"depth-{length} nodes"
+                )
+            token_id[depth].extend(tid[node] for node in frontier)
+            sentence_id[depth].extend(sids)
+            length_of[depth].extend([length] * len(frontier))
+            if not nxt:
+                break
+            frontier = nxt
+    levels = []
+    for depth in range(depths):
+        counts = np.array(child_count[depth], dtype=np.int32)
         levels.append(
-            TrieLevel(
-                order=order_a,
-                parent_pos=parent_a,
-                token_id=tid_a,
-                sentence_id=sid_a,
-                has_terminals=bool((sid_a >= 0).any()),
-                child_start=starts,
+            PlanLevel(
+                token_id=np.array(token_id[depth], dtype=np.int32),
+                sentence_id=np.array(sentence_id[depth], dtype=np.int32),
+                length=np.array(length_of[depth], dtype=np.int32),
+                child_start=np.cumsum(counts, dtype=np.int32) - counts,
                 child_count=counts,
             )
         )
-    return tuple(levels)
+    return LevelPlan(levels=tuple(levels), structures=structures)
 
 
 def _collect_sentences(

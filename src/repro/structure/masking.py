@@ -12,6 +12,7 @@ each placeholder covers (literal determination needs those positions).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.asr.verbalizer import WORDS_TO_SPLCHAR
 from repro.grammar.vocabulary import (
@@ -45,11 +46,25 @@ def _levenshtein_at_most(a: str, b: str, k: int) -> bool:
     return abs(len(a) - len(b)) <= k and char_edit_distance(a, b) <= k
 
 
+@lru_cache(maxsize=4096)
+def _phrases_starting_with(token: str) -> tuple[tuple[tuple[str, ...], str], ...]:
+    """The ``WORDS_TO_SPLCHAR`` entries whose first word ``token``
+    matches, in table order (memoized: heard tokens repeat heavily)."""
+    return tuple(
+        (words, symbol)
+        for words, symbol in WORDS_TO_SPLCHAR
+        if _splchar_word_matches(token, words[0])
+    )
+
+
 def handle_splchars(tokens: list[str]) -> list[str]:
     """Replace spoken operator words with their symbols.
 
     Longest spoken form first, so "less than" wins over a lone "less";
     long operator words are matched with small edit-distance tolerance.
+    Only the phrases whose first word matches the token are tried, in
+    table order, so the first full match is the one a scan of the whole
+    table would find.
 
     >>> handle_splchars("select star from t where a less than b".split())
     ['select', '*', 'from', 't', 'where', 'a', '<', 'b']
@@ -58,18 +73,16 @@ def handle_splchars(tokens: list[str]) -> list[str]:
     i = 0
     n = len(tokens)
     while i < n:
-        replaced = False
-        for words, symbol in WORDS_TO_SPLCHAR:
+        for words, symbol in _phrases_starting_with(tokens[i]):
             span = len(words)
-            window = tokens[i : i + span]
-            if len(window) < span:
-                continue
-            if all(_splchar_word_matches(t, w) for t, w in zip(window, words)):
+            if i + span <= n and all(
+                _splchar_word_matches(tokens[i + j], words[j])
+                for j in range(1, span)
+            ):
                 out.append(symbol)
                 i += span
-                replaced = True
                 break
-        if not replaced:
+        else:
             out.append(tokens[i])
             i += 1
     return out

@@ -10,21 +10,31 @@ quickly and BDB skips fire as early as possible.
 
 Three search kernels produce bit-identical results:
 
-- ``kernel="compiled"`` (default) is the fast path: a level-synchronous
-  kernel over the :class:`~repro.structure.compiled.CompiledStructureIndex`
-  breadth-first level plan.  It vectorizes the DP across every node of a
-  level with numpy while keeping the sequential per-position recurrence,
-  so each cell sees exactly the arithmetic (same operations, same order)
-  the reference performs — distances are bit-identical, not just close.
-  It trades the node-level branch-and-bound prune for a per-level one
-  plus C-speed columns, which is a large net win (see
-  ``benchmarks/bench_search_perf.py``).  With BDB on it also applies
-  Proposition 1 *per cell*: a trie holds structures of one length
-  ``L``, so every completion through DP cell ``(i, d)`` costs at least
-  ``D[i] + |(m - i) - (L - d)| * w_min``; that bound narrows the DP band
-  and drives the column-minimum prune.  Because it forgoes the
-  depth-first walk it cannot reproduce DAP's traversal-dependent tie
-  order, so engines with ``use_dap`` drop to the flat kernel.
+- ``kernel="compiled"`` (default) is the fast path: one level-synchronous
+  pass over depth, shared by every length trie, on the
+  :class:`~repro.structure.compiled.LevelPlan` of the compiled index
+  (each depth's nodes of all tries side by side), followed by a replay
+  of Box 2 over the terminals the pass collected.  It vectorizes the DP
+  across every node of a depth with numpy while keeping the sequential
+  per-position recurrence, so each cell sees exactly the arithmetic
+  (same operations, same order) the reference performs — distances are
+  bit-identical, not just close.  It trades the node-level
+  branch-and-bound prune for a per-depth one plus C-speed columns, and
+  pays the numpy setup of a depth once for all tries rather than once
+  per trie, which is a large net win (see
+  ``benchmarks/bench_search_perf.py``).  The pass prunes against a
+  running cutoff that only ever bounds the final k-th best distance
+  from above, so it drops only strictly worse work; the replay makes
+  the skip decisions and offers in the reference's order, so results,
+  tie order and ``tries_*`` match it (the argument is spelled out on
+  :meth:`StructureSearchEngine._search_vector`).  With BDB on it also
+  applies Proposition 1 per length and *per cell*: a trie holds
+  structures of one length ``L``, so every completion through DP cell
+  ``(i, d)`` costs at least ``D[i] + |(m - i) - (L - d)| * w_min``; that
+  bound narrows the DP band and drives the column-minimum prune.
+  Because it forgoes the depth-first walk it cannot reproduce DAP's
+  traversal-dependent tie order, so engines with ``use_dap`` drop to the
+  flat kernel.
 - ``kernel="flat"`` is the scalar lowering: a depth-first walk over the
   compiled first-child/next-sibling arrays — interned token ids,
   array-indexed weights, and a running column minimum so the
@@ -95,15 +105,21 @@ class SearchStats:
     All counters measure *work actually done*, so their values are
     kernel-specific: ``flat`` and ``reference`` agree exactly (same
     depth-first walk, same prunes), while the level-synchronous
-    ``compiled`` kernel prunes per level instead of per node and, with
+    ``compiled`` kernel prunes per depth instead of per node and, with
     ``use_bdb``, with the per-cell length bound, so its
     ``nodes_visited`` / ``dp_cells`` / ``candidates_scored`` differ
     from theirs (higher or lower, by query and ``k``) for the same
     bit-identical results.  ``tries_searched`` / ``tries_skipped``
-    agree across all three kernels.
+    agree across all three kernels: the compiled kernel replays Box 2's
+    skip decisions after its pass.
 
     ``levels_visited`` / ``rows_pruned`` / ``beam_bound_updates`` are
-    phases of the compiled kernel only (zero elsewhere).  ``kernel`` is
+    phases of the compiled kernel only (zero elsewhere).
+    ``levels_visited`` counts the depths of its one pass over all
+    tries, not levels per trie.  That pass prunes against a running
+    cutoff instead of the top-k threshold trie by trie, so it can visit
+    more nodes and cells, and score more candidates, than a per-trie
+    walk, while running far fewer numpy steps.  ``kernel`` is
     the kernel that actually ran, and ``dap_fallback`` marks a search
     where a ``compiled`` engine with ``use_dap`` dropped to the flat
     kernel (DAP's tie order is traversal-dependent) — both excluded
@@ -266,9 +282,8 @@ class StructureSearchEngine:
         ``k``, so no wider entry ever serves them).  A cached span
         decode spliced into a later turn is therefore bit-identical to
         re-searching it, and a correction turn only pays for the clause
-        it changed.  The level plan, per-level weight tables, and
-        inverted subindexes of the compiled/flat kernel are owned by the
-        engine and reused across spans automatically.
+        it changed.  The compiled index's level plan and the engine's
+        inverted subindexes are reused across spans automatically.
         """
         return self.search(span_tokens, k=k)
 
@@ -370,39 +385,59 @@ class StructureSearchEngine:
         top: _TopK,
         stats: SearchStats,
     ) -> None:
-        """Breadth-first DP over whole trie levels with numpy.
+        """One breadth-first DP pass over every trie at once, then Box 2.
 
-        The recurrence stays sequential along the masked positions but
-        runs across all nodes of a level at once; every cell performs
-        the reference's exact operations in the reference's exact order
-        (a masked copy for matches, one add + one min otherwise), so
-        distances are bit-identical.  Box 2's column-minimum prune is
-        applied per *level* — rows whose minimum exceeds the best-so-far
-        are compacted away before the next level.  With ``use_bdb`` the
-        band and that minimum use the per-cell length bound
-        ``D[i] + |(m - i) - (L - d)| * w_min`` (Proposition 1 applied to
-        each cell of a length-``L`` trie), so a row is dropped only when
-        none of its completions can reach the cutoff; without BDB they
-        use the plain ``|i - d| * w_min`` band and ``min_i D[i]``, so
-        the BDB ablation switches the per-cell term off too.  Either way
-        every dropped cell or row is strictly worse than the cutoff
+        **Pass.**  Depth by depth, the DP runs across every live node of
+        every searched trie with numpy (the index's
+        :class:`~repro.structure.compiled.LevelPlan` lays each depth's
+        nodes side by side).  The recurrence stays sequential along the
+        masked positions; every cell performs the reference's exact
+        operations in the reference's exact order (a masked copy for
+        matches, one add + one min otherwise), so distances are
+        bit-identical.  A running cutoff ``c`` bounds the final k-th
+        best distance ``T`` from above: it starts at a width-``k`` beam
+        probe of the closest length holding ``k`` structures, and after
+        each depth drops to the k-th best distance collected so far (any
+        ``k`` genuine distances bound ``T``).  Work is dropped only when
+        it is strictly worse than ``c``, hence than ``T``: with ``use_bdb``
+        whole lengths whose Proposition 1 bound ``|m - L| * w_min``
+        exceeds ``c``, and per cell the bound ``D[i] + |(m - i) - (L -
+        d)| * w_min`` narrows the DP band and drives the column-minimum
+        prune (each column shifts into ``ramp`` by its own ``L - d``);
+        without BDB the plain ``|i - d| * w_min`` band and ``min_i D[i]``
         (comparisons carry a tiny relative slack, so float rounding can
-        only keep work).  Surviving terminals are offered in reversed
-        level order — the same left-to-right mirror the reference's
-        stack walk uses — which yields the identical top-k: every
-        terminal one kernel scores and the other prunes is strictly
-        worse than the final threshold, and tie acceptance at the
-        threshold depends only on the shared offer order of the
-        remaining candidates.
+        only keep work).  Cells outside the band keep their insert-only
+        initialization, an upper bound; a cell on a path of true value
+        ``<= c`` never leaves the band, so it is exact.  Each trie's
+        terminals (its deepest level) are collected when their distance
+        is ``<= c`` — exact values, and a superset of every terminal at
+        distance ``<= T``.
+
+        **Replay.**  Box 2 then runs over the collected terminals: for
+        each length in :meth:`_search_order`, the BDB skip decision
+        against the top-k threshold, then that length's terminals
+        offered in reversed level order — the reference's stack-walk
+        order.  The top-k depends only on the offers at distance ``<=
+        T`` and their order (a worse offer is evicted before it can
+        change which better one is accepted), and those are exactly the
+        reference's.  The skip decisions agree too.  The replay's
+        threshold before length ``j`` can differ from the reference's
+        threshold ``t`` only if some terminal at distance ``<= t`` went
+        uncollected, so ``c`` fell below ``t``.  The ``k`` distances
+        that set ``c`` (beam or collected terminals) are then all below
+        ``t``.  Had they all come from tries the reference searched
+        before ``j``, ``t`` would be ``<= c``; a trie it skipped holds
+        none below ``t``; so one comes from ``j`` or a later length,
+        where every distance is at least ``j``'s Proposition 1 bound.
+        That bound is below ``t``, and neither side skips ``j``.
         """
         m = len(masked)
         m1 = m + 1
         min_literal_weight = self.weights.min_weight
-        # Proposition 1 per cell: every trie holds structures of exactly
-        # one length, so any completion through cell (i, d) costs at
-        # least D[i] + |(m - i) - (L - d)| * w_min.  Gated on ``use_bdb``
-        # (it *is* BDB, applied per cell), so the ablation without BDB
-        # keeps the plain band and column-minimum prune.
+        # Proposition 1 per cell and per length: every trie holds
+        # structures of exactly one length.  Gated on ``use_bdb`` (it
+        # *is* BDB), so the ablation without BDB keeps the plain band
+        # and column-minimum prune.
         cell_bound = self.use_bdb and min_literal_weight > 0
         token_ids = compiled.token_ids
         mw = np.array([self.weights.of(t) for t in masked], dtype=np.float64)
@@ -412,205 +447,170 @@ class StructureSearchEngine:
             tid = token_ids.get(token, -1)
             if tid >= 0:
                 match_tab[i, tid] = True
+        node_weight = np.array(compiled.token_weight, dtype=np.float64)
         first_col = np.empty(m1, dtype=np.float64)
         first_col[0] = 0.0
         np.add.accumulate(mw, out=first_col[1:])
         order_lengths = self._search_order(m, compiled.lengths)
-        # ramp[j] = |j - m| * w_min: at depth d of a length-L trie the
-        # suffix bound of band rows blo..hi is ramp[blo+L-d : hi+L-d+1].
-        max_length = max(order_lengths, default=0)
+        plan = compiled.level_plan()
+        levels = plan.levels
+        # ramp[j] = |j - m| * w_min: at depth d, a column of a length-L
+        # trie has suffix bound ramp[i + L - d] at row i.
+        max_length = len(levels) - 1
         ramp = np.abs(np.arange(m + max_length + 1, dtype=np.float64) - m)
         ramp *= min_literal_weight
-        ramp = ramp.reshape(-1, 1)
+        row_ids = np.arange(m1).reshape(m1, 1)
+        mask_weights = mw.tolist()
+        masked_ids = [token_ids.get(t, -1) for t in masked]
+        buf = np.empty(0, dtype=np.float64)
+
+        cut = _INF
+        for length in order_lengths:
+            if plan.structures[length] >= top.k:
+                cut = self._beam_bound(
+                    compiled.tries[length],
+                    masked_ids, mask_weights, first_col.tolist(), top.k,
+                )
+                stats.beam_bound_updates += 1
+                break
+        roots = levels[0].length
+        if cell_bound and cut != _INF:
+            lower = np.abs(roots - m) * min_literal_weight
+            alive = (lower <= cut + _slack(cut)).nonzero()[0]
+        else:
+            alive = np.arange(roots.size)
+        prev = np.repeat(first_col.reshape(m1, 1), alive.size, axis=1)
+        # Per length: collected terminal distances and sentence ids, in
+        # level order; ``best`` holds the k smallest distances so far.
+        collected: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        best = np.empty(0, dtype=np.float64)
+        for depth in range(1, len(levels)):
+            plevel = levels[depth - 1]
+            counts = plevel.child_count[alive]
+            width = int(counts.sum())
+            if width == 0:
+                break
+            # Parent-major layout: the live nodes' children are
+            # contiguous runs of this level, gathered by span arithmetic.
+            ends = np.cumsum(counts)
+            idx = np.repeat(plevel.child_start[alive] - ends + counts, counts)
+            idx += np.arange(width)
+            parent_cols = np.repeat(np.arange(alive.size), counts)
+            level = levels[depth]
+            token_id = level.token_id[idx]
+            lens = level.length[idx]
+            stats.levels_visited += 1
+            if cut != _INF and min_literal_weight > 0:
+                # Integer band half-width; the slack lets float rounding
+                # only widen the band, never drop a cell at the cutoff.
+                delta = int((cut + _slack(cut)) / min_literal_weight)
+                if cell_bound:
+                    # A length-L column's band is the rows i with
+                    # |i - d| + |i - c| <= delta, c = d + (m - L): rows
+                    # between d and c cost |m - L| and each row beyond
+                    # them 2 more.  Both band edges are nonincreasing in
+                    # L, and ``lens`` is sorted, so the union band runs
+                    # from the longest live length's low edge to the
+                    # shortest one's high edge.
+                    gap = int(lens[-1]) - m
+                    lo_off = min(0, -gap) - (delta - abs(gap)) // 2
+                    gap = int(lens[0]) - m
+                    hi_off = max(0, -gap) + (delta - abs(gap)) // 2
+                else:
+                    lo_off = -delta
+                    hi_off = delta
+                blo = max(depth + lo_off, 0)
+                hi = min(depth + hi_off, m)
+                if blo > hi:
+                    # Every live column (and everything below it) lies
+                    # outside the band: all exceed the cutoff.
+                    break
+            else:
+                blo = 0
+                hi = m
+            parent = prev[:, parent_cols]
+            col = parent + node_weight[token_id]  # rows start as inserts
+            match = match_tab[:, token_id]
+            if len(buf) < width:
+                buf = np.empty(width, dtype=np.float64)
+            dele = buf[:width]
+            rows = list(col)
+            parent_rows = list(parent)
+            match_rows = list(match)
+            for i in range(blo if blo > 0 else 1, hi + 1):
+                row = rows[i]
+                np.add(rows[i - 1], mask_weights[i - 1], out=dele)
+                np.minimum(row, dele, out=row)
+                np.copyto(row, parent_rows[i - 1], where=match_rows[i - 1])
+            stats.nodes_visited += width
+            stats.dp_cells += width * m1
+            # The length-``depth`` trie's nodes lead the level (lengths
+            # ascend) and are its terminals: collect, then tighten.
+            leaves = 0
+            if lens[0] == depth:
+                leaves = int(np.searchsorted(lens, depth, side="right"))
+                sids = level.sentence_id[idx[:leaves]]
+                dists = col[m, :leaves]
+                stats.candidates_scored += leaves
+                sel = dists <= cut
+                if not sel.all():
+                    dists = dists[sel]
+                    sids = sids[sel]
+                if dists.size:
+                    collected[depth] = (dists, sids)
+                    best = np.sort(np.concatenate((best, dists)))[: top.k]
+                    if best.size == top.k and best[-1] < cut:
+                        cut = float(best[-1])
+            if leaves == width:
+                break
+            # Column-minimum prune (Box 2) for the next level.  The
+            # minimum is taken over band rows only: a completion with
+            # true distance <= the cutoff runs through a cell whose true
+            # value (plus, with the per-cell bound, its suffix bound) is
+            # <= the cutoff, and such a cell is in-band and exact.
+            if cut != _INF:
+                band_rows = col[blo : hi + 1, leaves:]
+                if cell_bound:
+                    shift = lens[leaves:] - depth
+                    band_rows = band_rows + ramp[row_ids[blo : hi + 1] + shift]
+                keep = band_rows.min(axis=0) <= cut + _slack(cut)
+                kidx = keep.nonzero()[0]
+                stats.rows_pruned += width - leaves - int(kidx.size)
+                if kidx.size == 0:
+                    break
+                kidx += leaves
+                alive = idx[kidx]
+                prev = col[:, kidx]
+            else:
+                alive = idx[leaves:]
+                prev = col[:, leaves:]
+
+        # Replay Box 2 over the collected terminals.
         sentences = compiled.sentences
         threshold = top.threshold
         offer = top.offer
-        mask_weights = list(mw)
-        masked_ids = [token_ids.get(t, -1) for t in masked]
-        buf = np.empty(0, dtype=np.float64)
-        pbuf = np.empty(0, dtype=np.float64)
-        # Upper bound on the final k-th best distance, seeded by a cheap
-        # scalar beam probe of the first searched trie.  Pruning against
-        # it (never offering with it) is exact: a row whose column
-        # minimum exceeds a valid bound on the k-th best distance cannot
-        # produce a top-k terminal.  BDB skip decisions deliberately use
-        # only the true threshold so ``tries_*`` stats match the
-        # reference exactly.
-        bound = _INF
         for length in order_lengths:
             lower = abs(m - length) * min_literal_weight
             if self.use_bdb and lower >= threshold():
                 stats.tries_skipped += 1
                 continue
             stats.tries_searched += 1
-            trie = compiled.tries[length]
-            if bound == _INF:
-                bound = self._beam_bound(
-                    trie, masked_ids, mask_weights, list(first_col), top.k
-                )
-                if bound != _INF:
-                    stats.beam_bound_updates += 1
-            # DP band for this trie: a cell at masked position i and trie
-            # depth d has true value >= |i - d| * min_weight (and, with
-            # the per-cell bound, every completion through it costs at
-            # least (|i - d| + |(m - i) - (L - d)|) * min_weight), so
-            # cells whose bound exceeds the band cutoff can keep their
-            # insert-only initialization (an upper bound); every cell on
-            # a path of true value <= the cutoff stays bit-exact because
-            # such a path never leaves the band.  Offers are filtered to
-            # values <= the cutoff below, which loses nothing: all true
-            # top-k distances are.  Thresholds only tighten mid-trie, so
-            # the cutoff fixed here stays valid for the whole trie.
-            band_cut = threshold()
-            if bound < band_cut:
-                band_cut = bound
-            banded = band_cut != _INF and min_literal_weight > 0
-            if banded:
-                # Integer band half-width; the slack lets float rounding
-                # only widen the band, never drop a cell at the cutoff.
-                delta = int((band_cut + _slack(band_cut)) / min_literal_weight)
-                if cell_bound:
-                    # |i - d| + |i - c| <= delta with c = d + (m - L):
-                    # rows between d and c cost |m - L| and each row
-                    # beyond them 2 more, so the band is [d + lo_off,
-                    # d + hi_off], and empty when |m - L| > delta.
-                    gap = abs(m - length)
-                    if gap > delta:
-                        continue
-                    ext = (delta - gap) // 2
-                    lo_off = min(0, m - length) - ext
-                    hi_off = max(0, m - length) + ext
-                else:
-                    lo_off = -delta
-                    hi_off = delta
-            node_weight = np.frombuffer(trie.node_weight)
-            prev = first_col.reshape(m1, 1)
-            # Static rows of the previous level whose columns survived,
-            # sorted, aligned with ``prev``'s columns; None while every
-            # row is alive.  The layout is parent-major, so each node's
-            # children are a contiguous span of the next level — the
-            # surviving rows' children are gathered by span arithmetic,
-            # O(alive + children), never O(level).
-            alive_idx = None
-            plevel = None
-            for depth, level in enumerate(trie.levels(), start=1):
-                if alive_idx is None:
-                    parent_cols = level.parent_pos
-                    order = level.order
-                    token_id = level.token_id
-                    sentence_id = level.sentence_id
-                    idx = None
-                else:
-                    counts = plevel.child_count[alive_idx]
-                    total = int(counts.sum())
-                    if total == 0:
-                        break
-                    starts = plevel.child_start[alive_idx]
-                    ends = np.cumsum(counts)
-                    idx = np.repeat(starts - ends + counts, counts)
-                    idx += np.arange(total)
-                    parent_cols = np.repeat(np.arange(alive_idx.size), counts)
-                    order = level.order[idx]
-                    token_id = level.token_id[idx]
-                    sentence_id = level.sentence_id[idx]
-                plevel = level
-                width = len(order)
-                stats.levels_visited += 1
-                if banded:
-                    blo = depth + lo_off
-                    if blo < 0:
-                        blo = 0
-                    hi = depth + hi_off
-                    if hi > m:
-                        hi = m
-                    if blo > hi:
-                        # The whole level (and everything deeper) lies
-                        # outside the band: every true value exceeds the
-                        # cutoff, hence exceeds any current or future
-                        # prune threshold for this trie.
-                        break
-                else:
-                    blo = 0
-                    hi = m
-                parent = prev[:, parent_cols]
-                col = parent + node_weight[order]  # rows start as inserts
-                match = match_tab[:, token_id]
-                if len(buf) < width:
-                    buf = np.empty(width, dtype=np.float64)
-                dele = buf[:width]
-                rows = list(col)
-                parent_rows = list(parent)
-                match_rows = list(match)
-                for i in range(blo if blo > 0 else 1, hi + 1):
-                    row = rows[i]
-                    np.add(rows[i - 1], mask_weights[i - 1], out=dele)
-                    np.minimum(row, dele, out=row)
-                    np.copyto(row, parent_rows[i - 1], where=match_rows[i - 1])
-                stats.nodes_visited += width
-                stats.dp_cells += width * m1
-                if level.has_terminals:
-                    term_rows = (sentence_id >= 0).nonzero()[0]
-                    if term_rows.size:
-                        stats.candidates_scored += int(term_rows.size)
-                        dists = col[m, term_rows]
-                        term_sids = sentence_id[term_rows]
-                        # Offers below the current threshold are the only
-                        # ones that can mutate the top-k (offer() rejects
-                        # the rest and the threshold only tightens), so
-                        # the prefilter is exact; refreshing it every
-                        # chunk keeps the Python offer loop short once
-                        # the top-k fills.
-                        pos = int(term_rows.size)
-                        while pos > 0:
-                            at = pos - 256 if pos > 256 else 0
-                            cut = threshold()
-                            chunk = dists[at:pos]
-                            sel = chunk < cut
-                            if band_cut != _INF:
-                                sel &= chunk <= band_cut
-                            for j in sel.nonzero()[0][::-1]:
-                                offer(
-                                    float(chunk[j]),
-                                    sentences[term_sids[at + j]],
-                                )
-                            pos = at
-                # Column-minimum prune (Box 2) for the next level,
-                # against the tighter of the true threshold and the
-                # seeded bound.  The minimum is taken over band rows
-                # only: a completion with true distance <= the cut runs
-                # through a cell whose true value (plus, with the
-                # per-cell bound, its suffix bound) is <= the cut <= the
-                # band cutoff, and such a cell is in-band and computed
-                # exactly, so it is seen here.
-                cut = threshold()
-                if bound < cut:
-                    cut = bound
-                if cut != _INF:
-                    band_rows = col[blo : hi + 1]
-                    if cell_bound:
-                        size = band_rows.size
-                        if len(pbuf) < size:
-                            pbuf = np.empty(size, dtype=np.float64)
-                        shift = length - depth
-                        bounded = pbuf[:size].reshape(band_rows.shape)
-                        np.add(
-                            band_rows,
-                            ramp[blo + shift : hi + shift + 1],
-                            out=bounded,
-                        )
-                        band_rows = bounded
-                    keep = band_rows.min(axis=0) <= cut + _slack(cut)
-                    kidx = keep.nonzero()[0]
-                    if kidx.size == 0:
-                        stats.rows_pruned += width
-                        break
-                    if kidx.size < width:
-                        stats.rows_pruned += width - int(kidx.size)
-                        alive_idx = kidx if idx is None else idx[kidx]
-                        prev = col[:, kidx]
-                        continue
-                alive_idx = idx
-                prev = col
+            terminals = collected.get(length)
+            if terminals is None:
+                continue
+            dists, sids = terminals
+            # Offers below the current threshold are the only ones that
+            # can mutate the top-k (offer() rejects the rest and the
+            # threshold only tightens), so the prefilter is exact;
+            # refreshing it every chunk keeps the Python offer loop
+            # short once the top-k fills.
+            pos = int(dists.size)
+            while pos > 0:
+                at = pos - 256 if pos > 256 else 0
+                chunk = dists[at:pos]
+                for j in (chunk < threshold()).nonzero()[0][::-1]:
+                    offer(float(chunk[j]), sentences[sids[at + j]])
+                pos = at
 
     @staticmethod
     def _beam_bound(

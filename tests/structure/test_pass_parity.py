@@ -1,0 +1,120 @@
+"""Tie and edge-case parity of the one-pass compiled kernel.
+
+The compiled kernel walks every length trie in one pass over depth,
+keeps only terminals at or under a running cutoff, then replays Box 2
+(closest length first, BDB skips, reversed level order) over what it
+kept.  These cases stress exactly that: unit weights, where many
+lengths and structures tie; every ``k`` from 1 to 8; queries whose
+closest trie holds fewer than ``k`` structures, so the beam bound comes
+from a farther length or is infinite; INV subindexes; and BDB off.
+Results must equal the reference's — structures, float distances and
+order — and so must ``tries_searched`` / ``tries_skipped``.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.structure.edit_distance import DEFAULT_WEIGHTS, UNIT_WEIGHTS
+from repro.structure.indexer import StructureIndex
+from repro.structure.search import StructureSearchEngine
+
+KS = tuple(range(1, 9))
+
+VOCAB = ["SELECT", "FROM", "WHERE", "x", "*", "=", "<", ",", "(", ")",
+         "AVG", "COUNT", "AND", "OR", "LIMIT", "ORDER", "BY", "NATURAL"]
+
+
+def _queries(index, seed, count):
+    """Index structures with 0-3 random edits, plus short token soup."""
+    sentences = [s for t in index.tries.values() for s in t.sentences()]
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(count):
+        if rng.random() < 0.75:
+            tokens = list(rng.choice(sentences))
+            for _ in range(rng.randint(0, 3)):
+                op = rng.random()
+                if op < 0.4 and len(tokens) > 1:
+                    tokens.pop(rng.randrange(len(tokens)))
+                elif op < 0.7:
+                    tokens.insert(rng.randrange(len(tokens) + 1),
+                                  rng.choice(VOCAB))
+                else:
+                    tokens[rng.randrange(len(tokens))] = rng.choice(VOCAB)
+        else:
+            tokens = [rng.choice(VOCAB) for _ in range(rng.randint(0, 6))]
+        queries.append(tuple(tokens))
+    return queries
+
+
+def _assert_parity(index, queries, weights, **flags):
+    ref = StructureSearchEngine(index, kernel="reference", weights=weights,
+                                cache_results=False, **flags)
+    comp = StructureSearchEngine(index, kernel="compiled", weights=weights,
+                                 cache_results=False, **flags)
+    for masked in queries:
+        for k in KS:
+            r_ref, s_ref = ref.search(masked, k=k)
+            r_comp, s_comp = comp.search(masked, k=k)
+            assert s_comp.kernel == "compiled"
+            assert r_comp == r_ref, (masked, k)
+            assert (s_comp.tries_searched, s_comp.tries_skipped) == (
+                s_ref.tries_searched, s_ref.tries_skipped
+            ), (masked, k)
+
+
+FLAGS = [
+    {"use_bdb": True},
+    {"use_bdb": False},
+    {"use_bdb": True, "use_inv": True},
+]
+
+
+def _flag_id(flags):
+    return "-".join(name for name, on in flags.items() if on) or "none"
+
+
+class TestTiesAndEdges:
+    @pytest.mark.parametrize("flags", FLAGS, ids=_flag_id)
+    @pytest.mark.parametrize(
+        "weights", [UNIT_WEIGHTS, DEFAULT_WEIGHTS], ids=["unit", "default"]
+    )
+    def test_random_queries(self, small_index, weights, flags):
+        _assert_parity(small_index, _queries(small_index, 3, 14), weights,
+                       **flags)
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=_flag_id)
+    @pytest.mark.parametrize(
+        "weights", [UNIT_WEIGHTS, DEFAULT_WEIGHTS], ids=["unit", "default"]
+    )
+    def test_closest_trie_below_k(self, small_index, weights, flags):
+        # The shortest tries of the small index hold 2 and 5 structures,
+        # so queries of 3-6 tokens start from a trie with fewer than k.
+        counts = small_index.compiled(weights).level_plan().structures
+        shortest = min(counts)
+        assert counts[shortest] < max(KS)
+        queries = [q for q in _queries(small_index, 5, 60) if len(q) <= 6]
+        queries += [(), ("SELECT",), ("SELECT", "x", "FROM"),
+                    ("SELECT", "*", "FROM", "x", "x")]
+        _assert_parity(small_index, queries, weights, **flags)
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=_flag_id)
+    def test_no_trie_reaches_k(self, flags):
+        # Seven structures over four lengths: the beam bound is infinite
+        # for k = 8, so the pass runs every row unbanded.
+        index = StructureIndex.from_structures([
+            ("SELECT", "x", "FROM", "x"),
+            ("SELECT", "*", "FROM", "x"),
+            ("SELECT", "x", ",", "x", "FROM", "x"),
+            ("SELECT", "x", "FROM", "x", "LIMIT", "x"),
+            ("SELECT", "x", "FROM", "x", "WHERE", "x", "=", "x"),
+            ("SELECT", "x", "FROM", "x", "WHERE", "x", "<", "x"),
+            ("SELECT", "COUNT", "(", "*", ")", "FROM", "x", "WHERE", "x",
+             "=", "x"),
+        ])
+        queries = _queries(index, 9, 20) + [("SELECT", "x", "FROM", "x", "=")]
+        for weights in (UNIT_WEIGHTS, DEFAULT_WEIGHTS):
+            _assert_parity(index, queries, weights, **flags)

@@ -53,16 +53,18 @@ class TestEntryFromReport:
         assert entry["median_speedup"] == 4.0
         # Older reports carry no work counter, repeats or spread.
         assert entry["nodes_visited"] is None
+        assert entry["levels_visited"] is None
         assert entry["repeats"] is None
 
     def test_keeps_kernel_work_and_spread(self):
         report = _report()
         report["repeats"] = 5
         report["results"]["k=3"]["compiled"].update(
-            nodes_visited=302801, iqr_ms=0.2
+            nodes_visited=302801, levels_visited=1924, iqr_ms=0.2
         )
         entry = bench_history.entry_from_report(report, "smoke.json")
         assert entry["nodes_visited"] == 302801
+        assert entry["levels_visited"] == 1924
         assert entry["repeats"] == 5
         assert entry["iqr_ms"] == 0.2
         assert entry["source"] == "smoke.json"

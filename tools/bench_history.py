@@ -11,7 +11,9 @@ key.
 The key includes the workload size (``structure_search_kernels@max15``,
 ``serving_throughput@q40ms50``), so a CI smoke run is only ever
 compared against earlier smoke runs — never against the committed
-full-size report.  A ``telemetry_overhead`` report (the
+full-size report.  A search-kernel entry keeps the compiled kernel's
+work counters at the primary k (``nodes_visited``, and
+``levels_visited``, the depths its level-synchronous passes took).  A ``telemetry_overhead`` report (the
 ``--telemetry-overhead`` pricing of the live telemetry plane) appends
 one entry per observability configuration, keyed
 ``telemetry_overhead@q32cmetrics`` — each configuration tracks its own
@@ -133,6 +135,7 @@ def entry_from_report(report: dict, source: str) -> dict:
         "median_speedup": primary["median_speedup"],
         # Work done and spread; absent from reports that predate them.
         "nodes_visited": primary["compiled"].get("nodes_visited"),
+        "levels_visited": primary["compiled"].get("levels_visited"),
         "repeats": report.get("repeats"),
         "iqr_ms": primary["compiled"].get("iqr_ms"),
         "source": source,
