@@ -3,9 +3,13 @@
 Configurations, as in Appendix F.5: SpeakQL Default (BDB on), Default
 without BDB, Default + DAP, Default + INV, Default + DAP + INV — each
 measured for accuracy (TED CDF vs the ground-truth structure) and
-runtime.  The INV rows split their time: searches that built a
-keyword subindex on the way are reported apart from the rest.  A sixth row ablates the SQL-specific weighting (WK/WS/WL vs
+runtime.  A sixth row ablates the SQL-specific weighting (WK/WS/WL vs
 uniform weights), a design choice DESIGN.md calls out.
+
+Every configuration runs ``ROUNDS`` times, interleaved (the order
+rotates each round, so drift hits every row alike); the table reports
+the median time over all test dictations and the IQR of the rounds.
+INV builds its keyword masks on the first INV search, inside round 1.
 
 All instrumentation flows through one
 :class:`~repro.observability.metrics.MetricsRegistry`: per-search wall
@@ -18,6 +22,8 @@ fastest but costs real accuracy (exact structures drop sharply); INV is
 faster with only a minor accuracy drop.
 """
 
+import statistics
+
 from benchmarks.conftest import record_report
 from repro.metrics.cdf import Cdf
 from repro.metrics.report import format_table
@@ -28,22 +34,20 @@ from repro.structure.masking import preprocess_transcription
 from repro.structure.search import StructureSearchEngine
 
 
+#: Interleaved timed rounds per configuration.
+ROUNDS = 5
+
+
 def _evaluate(searcher, masked_inputs, truths, registry, config):
+    """One round: the TED CDF, wall seconds and work of ``searcher``."""
     teds = []
     nodes = registry.counter(obs_names.SEARCH_NODES_VISITED, config=config)
     scored = registry.counter(obs_names.SEARCH_CANDIDATES_SCORED, config=config)
     seconds = registry.histogram(obs_names.SEARCH_SECONDS, config=config)
-    # Searches that built an INV subindex (dict tries, compile, level
-    # plan) on their way, timed apart from the rest.
-    builds = registry.histogram(
-        obs_names.SEARCH_SECONDS, config=config, phase="inv_build"
-    )
+    before = (seconds.sum, nodes.value + scored.value)
     for masked, truth in zip(masked_inputs, truths):
-        before = seconds.sum
         with registry.time(obs_names.SEARCH_SECONDS, config=config):
             results, stats = searcher.search(masked, k=1)
-        if stats.inv_cache_builds:
-            builds.observe(seconds.sum - before)
         nodes.inc(stats.nodes_visited)
         scored.inc(stats.candidates_scored)
         if results:
@@ -52,15 +56,13 @@ def _evaluate(searcher, masked_inputs, truths, registry, config):
             )
         else:
             teds.append(float(len(truth)))
-    # Scored candidates are counted on every path (with or without the
-    # INV subindex) — a zero here would mean broken instrumentation,
-    # not a fast configuration.
+    # Scored candidates are counted on every path — a zero here would
+    # mean broken instrumentation, not a fast configuration.
     assert scored.value > 0, "candidates_scored not incremented"
     return (
         Cdf.of(teds),
-        seconds.sum,
-        int(nodes.value + scored.value),
-        (builds.sum, builds.count),
+        seconds.sum - before[0],
+        int(nodes.value + scored.value - before[1]),
     )
 
 
@@ -84,39 +86,57 @@ def test_fig15_ablation(state, benchmark):
     }
 
     def run_all():
-        rows = {}
-        for name, kwargs in configs.items():
-            searcher = StructureSearchEngine(
+        searchers = {
+            name: StructureSearchEngine(
                 index=index, cache_results=False, **kwargs
             )
-            rows[name] = _evaluate(
-                searcher, masked_inputs, truths, registry, name
+            for name, kwargs in configs.items()
+        }
+        names = list(configs)
+        runs = {name: [] for name in names}
+        for round_ in range(ROUNDS):
+            shift = round_ % len(names)
+            for name in names[shift:] + names[:shift]:
+                runs[name].append(
+                    _evaluate(
+                        searchers[name], masked_inputs, truths, registry, name
+                    )
+                )
+        rows = {}
+        for name, results in runs.items():
+            # Every round returns the same structures and does the same
+            # work; only the time varies.
+            assert len({(cdf.mean, work) for cdf, _, work in results}) == 1
+            cdf, _, work = results[0]
+            times = [elapsed for _, elapsed, _ in results]
+            q1, median, q3 = statistics.quantiles(
+                times, n=4, method="inclusive"
             )
+            rows[name] = (cdf, median, q3 - q1, work)
         return rows
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     default_cdf, default_time, _, _ = rows["SpeakQL Default"]
     table_rows = []
-    for name, (cdf, elapsed, nodes, (build_s, builds)) in rows.items():
+    for name, (cdf, median, iqr, nodes) in rows.items():
         table_rows.append(
             [
                 name,
                 f"{cdf.at(0) * 100:.0f}%",
                 cdf.mean,
-                f"{elapsed:.2f}s",
-                f"{elapsed - build_s:.2f}s",
-                f"{build_s:.2f}s ({builds})" if builds else "-",
-                f"{default_time / max(elapsed, 1e-9):.1f}x",
+                f"{median:.2f}s",
+                f"{iqr:.2f}s",
+                f"{default_time / max(median, 1e-9):.1f}x",
                 nodes,
             ]
         )
     record_report(
-        "Figure 15: structure determination ablation",
+        f"Figure 15: structure determination ablation (median of {ROUNDS} "
+        "interleaved rounds)",
         format_table(
-            ["config", "TED=0", "mean TED", "time", "search time",
-             "INV builds (searches)", "speedup vs default",
-             "nodes/candidates"],
+            ["config", "TED=0", "mean TED", "median time", "IQR",
+             "speedup vs default", "nodes/candidates"],
             table_rows,
         ),
     )
@@ -184,10 +204,10 @@ def test_fig15_ablation(state, benchmark):
     # or better; the trie index is the faster engineering choice.
     assert parse_time > default_subset_time
 
-    no_bdb_cdf, _no_bdb_time, no_bdb_nodes, _ = rows["Default - BDB"]
-    dap_cdf, _dap_time, dap_nodes, _ = rows["Default + DAP"]
-    inv_cdf, _inv_time, inv_nodes, _ = rows["Default + INV"]
-    _, _, default_nodes, _ = rows["SpeakQL Default"]
+    no_bdb_cdf, _, _, no_bdb_nodes = rows["Default - BDB"]
+    dap_cdf, _, _, dap_nodes = rows["Default + DAP"]
+    inv_cdf, _, _, inv_nodes = rows["Default + INV"]
+    _, _, _, default_nodes = rows["SpeakQL Default"]
 
     # Paper-shape assertions on *work done* (node visits are
     # deterministic; wall-clock comparisons with small margins flake

@@ -33,7 +33,7 @@ Config overrides flow through the versioned
 :meth:`~repro.core.pipeline.SpeakQLConfig.to_dict` /
 :meth:`~repro.core.pipeline.SpeakQLConfig.from_dict` serialization (the
 same format replay bundles store), so a request that asks for
-``{"search_kernel": "flat", "top_k": 1}`` is reproducible from its
+``{"use_bdb": False, "top_k": 1}`` is reproducible from its
 serialized form byte for byte.
 """
 

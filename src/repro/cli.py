@@ -21,11 +21,11 @@ Subcommands:
   deadlines, load shedding, degraded-mode fallbacks, and HTTP health,
   readiness and telemetry endpoints — see ``docs/serving.md``.
 
-``dictate`` and ``correct`` accept ``--search-kernel`` (compiled / flat
-/ reference), ``--trace-out FILE`` (JSON-lines spans), ``--metrics-out
-FILE`` (Prometheus text for ``.prom``/``.txt``, a human summary table
-otherwise), and ``--record-out FILE`` (a forensic replay bundle for
-``replay``/``explain``) — see ``docs/observability.md``.
+``dictate`` and ``correct`` accept ``--trace-out FILE`` (JSON-lines
+spans), ``--metrics-out FILE`` (Prometheus text for ``.prom``/``.txt``,
+a human summary table otherwise), and ``--record-out FILE`` (a forensic
+replay bundle for ``replay``/``explain``) — see
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import sys
 
 from repro.api import QueryRequest
 from repro.asr import make_custom_engine, verbalize_sql
-from repro.core import SpeakQL, SpeakQLArtifacts, SpeakQLConfig, SpeakQLService
+from repro.core import SpeakQL, SpeakQLArtifacts, SpeakQLService
 from repro.dataset import build_employees_catalog, build_yelp_catalog
 from repro.dataset.spoken import make_spoken_dataset
 from repro.observability import (
@@ -51,31 +51,20 @@ from repro.observability import (
 )
 from repro.sqlengine.executor import execute
 from repro.sqlengine.parser import parse_select
-from repro.structure.search import (
-    KERNEL_COMPILED,
-    KERNEL_FLAT,
-    KERNEL_REFERENCE,
-)
 
 _CATALOGS = {
     "employees": build_employees_catalog,
     "yelp": build_yelp_catalog,
 }
 
-_KERNELS = (KERNEL_COMPILED, KERNEL_FLAT, KERNEL_REFERENCE)
-
-
-def _build_pipeline(
-    schema: str, train: int, kernel: str = KERNEL_COMPILED
-) -> SpeakQL:
+def _build_pipeline(schema: str, train: int) -> SpeakQL:
     catalog = _CATALOGS[schema]()
     engine = None
     if train > 0:
         training = make_spoken_dataset("train", catalog, train, seed=7)
         engine = make_custom_engine([q.sql for q in training.queries])
     artifacts = SpeakQLArtifacts.build(engine=engine)
-    config = SpeakQLConfig(search_kernel=kernel)
-    return SpeakQL(catalog, artifacts=artifacts, config=config)
+    return SpeakQL(catalog, artifacts=artifacts)
 
 
 def _observability(args: argparse.Namespace) -> tuple[Tracer, MetricsRegistry | None]:
@@ -111,11 +100,7 @@ def _write_bundle(
     service.write_replay_bundle(
         args.record_out,
         recorder,
-        environment={
-            "schema": args.schema,
-            "train": train,
-            "search_kernel": args.search_kernel,
-        },
+        environment={"schema": args.schema, "train": train},
     )
     print(
         f"wrote {len(recorder)} record(s) to {args.record_out}",
@@ -129,7 +114,7 @@ def _deadline_seconds(args: argparse.Namespace) -> float | None:
 
 
 def _cmd_dictate(args: argparse.Namespace) -> int:
-    pipeline = _build_pipeline(args.schema, args.train, args.search_kernel)
+    pipeline = _build_pipeline(args.schema, args.train)
     tracer, metrics = _observability(args)
     recorder = Recorder() if args.record_out else None
     request = QueryRequest(
@@ -163,7 +148,7 @@ def _cmd_dictate(args: argparse.Namespace) -> int:
 
 
 def _cmd_correct(args: argparse.Namespace) -> int:
-    pipeline = _build_pipeline(args.schema, train=0, kernel=args.search_kernel)
+    pipeline = _build_pipeline(args.schema, train=0)
     service = SpeakQLService.from_pipeline(pipeline)
     tracer, metrics = _observability(args)
     recorder = Recorder() if args.record_out else None
@@ -195,7 +180,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         run_async_daemon,
     )
 
-    pipeline = _build_pipeline(args.schema, args.train, args.search_kernel)
+    pipeline = _build_pipeline(args.schema, args.train)
     # The registry is always live: the telemetry plane scrapes it via
     # GET /metrics, independent of whether an exit dump was requested.
     metrics = MetricsRegistry()
@@ -251,9 +236,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 1
     env = bundle.environment
     pipeline = _build_pipeline(
-        env.get("schema", "employees"),
-        int(env.get("train", 0)),
-        env.get("search_kernel", KERNEL_COMPILED),
+        env.get("schema", "employees"), int(env.get("train", 0))
     )
     try:
         results = replay_bundle(pipeline, bundle, index=args.index)
@@ -379,10 +362,6 @@ def _execute(sql: str, pipeline: SpeakQL) -> None:
 
 
 def _add_observability_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--search-kernel", choices=_KERNELS,
-                        default=KERNEL_COMPILED,
-                        help="structure-search kernel (all three return "
-                             "bit-identical results)")
     parser.add_argument("--trace-out", metavar="FILE", default=None,
                         help="write hierarchical spans as JSON lines")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
@@ -434,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--schema", choices=_CATALOGS, default="employees")
     serve.add_argument("--train", type=int, default=0,
                        help="training queries for the custom ASR model")
-    serve.add_argument("--search-kernel", choices=_KERNELS,
-                       default=KERNEL_COMPILED)
     serve.add_argument("--queue-limit", type=int, default=16,
                        help="max in-flight requests before shedding")
     serve.add_argument("--degrade-below-ms", type=float, default=None,

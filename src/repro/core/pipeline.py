@@ -58,7 +58,7 @@ from repro.structure.search import StructureSearchEngine
 #: Schema version of :meth:`SpeakQLConfig.to_dict`; bump on
 #: incompatible change.  Replay bundles and the serving degradation
 #: ladder both speak this format.
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,6 @@ class SpeakQLConfig:
     use_bdb: bool = True
     use_dap: bool = False
     use_inv: bool = False
-    #: Search kernel: ``"compiled"`` (level-synchronous numpy, default),
-    #: ``"flat"`` (scalar flat-array), or ``"reference"`` (node-object
-    #: spec kernel).  All three return bit-identical results.
-    search_kernel: str = "compiled"
     literal_window_size: int = 4
     #: Optional path caching the generated structures on disk (the
     #: paper's offline index-build step); rebuilt when the cap changes.
@@ -201,7 +197,6 @@ class SpeakQL:
             use_bdb=self.config.use_bdb,
             use_dap=self.config.use_dap,
             use_inv=self.config.use_inv,
-            kernel=self.config.search_kernel,
         )
         self._determiner = LiteralDeterminer(
             catalog=self.catalog,

@@ -129,9 +129,8 @@ def run_stages(stages: list[PipelineStage], value: Any, ctx: QueryContext) -> An
     the original untouched loop; otherwise each stage runs inside a
     ``stage.<name>`` span and its wall seconds land in the
     ``speakql_stage_seconds{stage=<name>}`` histogram.  Either way a
-    stage's seconds are recorded exactly once in ``ctx`` — fallbacks
-    inside a stage (e.g. the search kernel's DAP fallback) surface as
-    span attributes, never as overlapping timings.
+    stage's seconds are recorded exactly once in ``ctx``, never as
+    overlapping timings.
 
     Deadlines are enforced here, at stage boundaries: with
     ``ctx.deadline`` set, each stage is preceded by a
@@ -257,9 +256,9 @@ class MaskStage:
 class StructureSearchStage:
     """Similarity search over the shared structure index.
 
-    The wrapped engine runs the compiled (flat-array) kernel by default
-    against arrays lowered once in the offline step, so concurrent
-    queries share the index without copying or locking.
+    The wrapped engine runs its one kernel against arrays lowered once
+    in the offline step, so concurrent queries share the index without
+    copying or locking.
     """
 
     searcher: StructureSearchEngine
@@ -282,12 +281,6 @@ class StructureSearchStage:
                 for r in ranked
             )
             record.search_stats = asdict(stats)
-        tracer = ctx.tracer
-        if tracer.enabled:
-            tracer.annotate("kernel_requested", self.searcher.kernel)
-            tracer.annotate("kernel_used", stats.kernel or self.searcher.kernel)
-            if stats.dap_fallback:
-                tracer.annotate("dap_fallback", True)
         if ctx.metrics is not None:
             _publish_search_stats(ctx.metrics, stats)
         return StructureMatches(masked=value, results=tuple(results))
@@ -320,14 +313,10 @@ def _publish_search_stats(metrics: MetricsRegistry, stats: SearchStats) -> None:
     Cache hits count as served searches (plus a cache-hit tick) but do
     not re-count the original search's work counters.
     """
-    metrics.counter(
-        obs_names.SEARCH_TOTAL, kernel=stats.kernel or "unknown"
-    ).inc()
+    metrics.counter(obs_names.SEARCH_TOTAL).inc()
     if stats.result_cache_hit:
         metrics.counter(obs_names.SEARCH_RESULT_CACHE_HITS).inc()
         return
-    if stats.dap_fallback:
-        metrics.counter(obs_names.SEARCH_DAP_FALLBACK_TOTAL).inc()
     metrics.counter(obs_names.SEARCH_NODES_VISITED).inc(stats.nodes_visited)
     metrics.counter(obs_names.SEARCH_DP_CELLS).inc(stats.dp_cells)
     metrics.counter(obs_names.SEARCH_TRIES_SEARCHED).inc(stats.tries_searched)
@@ -345,11 +334,3 @@ def _publish_search_stats(metrics: MetricsRegistry, stats: SearchStats) -> None:
         metrics.counter(
             obs_names.SEARCH_BEAM_BOUND_UPDATES
         ).inc(stats.beam_bound_updates)
-    if stats.inv_cache_hits:
-        metrics.counter(
-            obs_names.SEARCH_INV_CACHE_HITS
-        ).inc(stats.inv_cache_hits)
-    if stats.inv_cache_builds:
-        metrics.counter(
-            obs_names.SEARCH_INV_CACHE_BUILDS
-        ).inc(stats.inv_cache_builds)

@@ -61,6 +61,11 @@ PRIME_SUPERSET: frozenset[str] = frozenset(
     AGGREGATE_KEYWORDS | {"AND", "OR"} | {"=", "<", ">"}
 )
 
+#: Keywords the INV inverted index posts (Appendix D.3): every keyword
+#: except SELECT, FROM and WHERE, which occur in virtually every
+#: structure, so their postings are useless for narrowing.
+INVERTED_KEYWORDS: frozenset[str] = KEYWORD_DICT - {"SELECT", "FROM", "WHERE"}
+
 #: Placeholder token used for masked literals in SQL structures.
 LITERAL_PLACEHOLDER = "x"
 

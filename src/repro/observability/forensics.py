@@ -350,8 +350,8 @@ class ReplayBundle:
     .SpeakQLConfig`; ``fingerprint`` identifies the artifact bundle that
     served the recorded traffic (see ``SpeakQLArtifacts.fingerprint``);
     ``environment`` is free-form rebuild context (the CLI stores its
-    ``--schema``/``--train``/``--search-kernel`` flags there so
-    ``repro replay`` can reconstruct the same pipeline).
+    ``--schema``/``--train`` flags there so ``repro replay`` can
+    reconstruct the same pipeline).
     """
 
     config: dict = field(default_factory=dict)
@@ -727,8 +727,7 @@ def render_record(record: QueryRecord, gold_sql: str | None = None) -> str:
     if record.search_stats:
         stats = record.search_stats
         say(
-            f"  kernel={stats.get('kernel', '?')} "
-            f"nodes={stats.get('nodes_visited', 0)} "
+            f"  nodes={stats.get('nodes_visited', 0)} "
             f"scored={stats.get('candidates_scored', 0)} "
             f"tries={stats.get('tries_searched', 0)}"
             f"+{stats.get('tries_skipped', 0)} skipped"

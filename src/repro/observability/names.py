@@ -53,11 +53,6 @@ SPAN_ATTRIBUTES: dict[str, str] = {
     "rung": "`serve`: the degradation-ladder rung that answered "
             "(0 = requested config).",
     "attempts": "`serve`: ladder rungs actually attempted.",
-    "kernel_requested": "`stage.structure_search`: the engine's configured "
-                        "search kernel.",
-    "kernel_used": "`stage.structure_search`: the kernel that actually ran.",
-    "dap_fallback": "`stage.structure_search`: present (true) when DAP "
-                    "forced the compiled kernel down to the flat kernel.",
     "placeholders": "`literal.determine`: placeholder count of the structure.",
     "narrowed": "`literal.determine`: whether pass 2 (table narrowing) ran.",
     "phase": "`literal.walk`: 1 for the category pass, 2 for the "
@@ -113,9 +108,6 @@ SEARCH_LEVELS_VISITED = "speakql_search_levels_visited_total"
 SEARCH_ROWS_PRUNED = "speakql_search_rows_pruned_total"
 SEARCH_BEAM_BOUND_UPDATES = "speakql_search_beam_bound_updates_total"
 SEARCH_RESULT_CACHE_HITS = "speakql_search_result_cache_hits_total"
-SEARCH_INV_CACHE_HITS = "speakql_search_inv_cache_hits_total"
-SEARCH_INV_CACHE_BUILDS = "speakql_search_inv_cache_builds_total"
-SEARCH_DAP_FALLBACK_TOTAL = "speakql_search_dap_fallback_total"
 
 SERVING_REQUESTS_TOTAL = "speakql_serving_requests_total"
 SERVING_OUTCOMES_TOTAL = "speakql_serving_outcomes_total"
@@ -155,7 +147,7 @@ METRIC_NAMES: dict[str, str] = {
     BATCH_QUEUE_WAIT_SECONDS: "histogram — seconds a request waited "
                               "between batch submit and execution start.",
     BATCH_EXECUTE_SECONDS: "histogram — seconds a request spent executing.",
-    SEARCH_TOTAL: "counter — structure searches served, by `kernel`.",
+    SEARCH_TOTAL: "counter — structure searches served.",
     SEARCH_SECONDS: "histogram — per-search wall seconds (benchmark use, "
                     "by `config`).",
     SEARCH_NODES_VISITED: "counter — trie nodes whose DP column was "
@@ -165,18 +157,14 @@ METRIC_NAMES: dict[str, str] = {
     SEARCH_TRIES_SKIPPED: "counter — tries skipped by the BDB bound.",
     SEARCH_CANDIDATES_SCORED: "counter — terminal structures offered to "
                               "the top-k.",
-    SEARCH_LEVELS_VISITED: "counter — depths of the compiled kernel's "
+    SEARCH_LEVELS_VISITED: "counter — depths of the search kernel's "
                            "one pass over every trie.",
     SEARCH_ROWS_PRUNED: "counter — node rows compacted away by the "
-                        "compiled kernel's band/threshold prune.",
+                        "search kernel's band/threshold prune.",
     SEARCH_BEAM_BOUND_UPDATES: "counter — beam-probe prune bounds seeded "
-                               "by the compiled kernel.",
+                               "by the search kernel.",
     SEARCH_RESULT_CACHE_HITS: "counter — searches served from the LRU "
                               "result cache.",
-    SEARCH_INV_CACHE_HITS: "counter — INV subindexes reused from the LRU.",
-    SEARCH_INV_CACHE_BUILDS: "counter — INV subindexes built (LRU misses).",
-    SEARCH_DAP_FALLBACK_TOTAL: "counter — searches where DAP forced the "
-                               "compiled kernel down to `flat`.",
     SERVING_REQUESTS_TOTAL: "counter — requests submitted to the serving "
                             "runtime (admitted or shed).",
     SERVING_OUTCOMES_TOTAL: "counter — responses by `outcome`; sums "
@@ -250,8 +238,6 @@ METRIC_LABELS: dict[str, str] = {
             "`redictate`, `token_patch`).",
     "rung": f"`{SERVING_RUNG_TOTAL}`: degradation-ladder rung index "
             "(0 = requested config).",
-    "kernel": f"`{SEARCH_TOTAL}`: the kernel that ran "
-              "(`compiled`, `flat`, `reference`).",
     "config": f"`{SEARCH_SECONDS}` and benchmark counters: the ablation "
               "configuration being measured.",
     "cause": f"`{ATTRIBUTION_MISSES_TOTAL}`: the miss-taxonomy class "

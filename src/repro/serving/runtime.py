@@ -33,19 +33,17 @@ state.
 The **degradation ladder** is an ordered tuple of :class:`Rung` objects,
 each naming a set of :class:`~repro.core.pipeline.SpeakQLConfig`
 overrides that trade answer quality for latency and resilience.  Rung 0
-is always the requested configuration; the default ladder then drops
-the compiled kernel for the scalar flat kernel, shrinks ``top_k`` to 1,
-and finally falls back to BDB-only pruning.  Derived pipelines share
-the base pipeline's artifact bundle, so climbing a rung never re-runs
-the offline step.
+is always the requested configuration; the default ladder then shrinks
+``top_k`` to 1 (skipping the runner-up decodes), and finally falls back
+to BDB-only pruning.  Derived pipelines share the base pipeline's
+artifact bundle, so climbing a rung never re-runs the offline step.
 
-Each rung carries a deterministic **circuit breaker** generalizing the
-DAP -> flat kernel fallback: after ``failure_threshold`` consecutive
-failures a rung is skipped ("open") for the next ``cooldown_requests``
-requests that consult it, then a single trial request is let through
-("half-open"); success closes the breaker, failure re-opens it.  The
-breaker counts requests, not wall-clock time, so trip/recover sequences
-are reproducible in tests.
+Each rung carries a deterministic **circuit breaker**: after
+``failure_threshold`` consecutive failures a rung is skipped ("open")
+for the next ``cooldown_requests`` requests that consult it, then a
+single trial request is let through ("half-open"); success closes the
+breaker, failure re-opens it.  The breaker counts requests, not
+wall-clock time, so trip/recover sequences are reproducible in tests.
 """
 
 from __future__ import annotations
@@ -109,19 +107,16 @@ class Rung:
         return dict(self.overrides)
 
 
-#: The default ladder: requested config, then flat kernel, then flat
-#: kernel with ``top_k=1``, then flat kernel + BDB-only pruning.  All
-#: rungs produce *valid* answers (the kernels are bit-identical; the
-#: cheaper rungs only shrink the candidate list and drop optimizations
-#: that can break or slow down).
+#: The default ladder: requested config, then ``top_k=1`` (which skips
+#: the runner-up decodes), then ``top_k=1`` with BDB-only pruning.  All
+#: rungs produce *valid* answers: the cheaper rungs only shrink the
+#: candidate list and drop the approximate optimizations.
 DEFAULT_LADDER: tuple[Rung, ...] = (
     Rung("requested"),
-    Rung("flat_kernel", {"search_kernel": "flat"}),
-    Rung("reduced_top_k", {"search_kernel": "flat", "top_k": 1}),
+    Rung("reduced_top_k", {"top_k": 1}),
     Rung(
         "bdb_only",
         {
-            "search_kernel": "flat",
             "top_k": 1,
             "use_bdb": True,
             "use_dap": False,

@@ -91,7 +91,7 @@ class SpanDecode:
 
     ``state_key`` is :func:`repro.structure.compiled.span_state_key`
     over the span's masked tokens and the engine weights in force —
-    the handle onto the compiled kernel's per-span DP/beam work this
+    the handle onto the search kernel's per-span DP/beam work this
     cache entry stands in for (reweighting changes the key, so stale
     distances are never replayed).
     """
@@ -248,9 +248,8 @@ class SessionStore:
 def merge_search_stats(parts: list[SearchStats | None]) -> SearchStats | None:
     """Sum per-span stats into one query-level view.
 
-    Counters add; the deployment-shape fields (``compare=False`` on
-    :class:`SearchStats`) summarize: one uniform kernel name survives,
-    ``dap_fallback``/``result_cache_hit`` are ORs.
+    Counters add; ``result_cache_hit`` (``compare=False`` on
+    :class:`SearchStats`) is an OR.
     """
     present = [p for p in parts if p is not None]
     if not present:
@@ -265,13 +264,6 @@ def merge_search_stats(parts: list[SearchStats | None]) -> SearchStats | None:
         total.levels_visited += part.levels_visited
         total.rows_pruned += part.rows_pruned
         total.beam_bound_updates += part.beam_bound_updates
-        total.inv_cache_hits += part.inv_cache_hits
-        total.inv_cache_builds += part.inv_cache_builds
-    kernels = {part.kernel for part in present if part.kernel}
-    total.kernel = kernels.pop() if len(kernels) == 1 else (
-        "mixed" if kernels else ""
-    )
-    total.dap_fallback = any(part.dap_fallback for part in present)
     total.result_cache_hit = any(part.result_cache_hit for part in present)
     return total
 

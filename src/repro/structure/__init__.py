@@ -12,14 +12,14 @@ transcription:
   structures (Section 3.3).
 - :mod:`repro.structure.indexer` — 50 length-partitioned tries.
 - :mod:`repro.structure.compiled` — the offline compile step: interned
-  tokens, per-id weight vectors, and flat first-child/next-sibling trie
-  arrays the fast search kernel runs on.
+  tokens, per-id weight vectors, flat first-child/next-sibling trie
+  arrays, and the breadth-first level plan the search kernel runs on.
 - :mod:`repro.structure.search` — branch-and-bound similarity search with
   bidirectional bounds (Proposition 1, Box 2) plus the two approximate
   optimizations: Diversity-Aware Pruning and Inverted Indexes
-  (Appendix D.3).  Three kernels — level-synchronous numpy ``compiled``
-  (default), scalar flat-array ``flat``, and node-object ``reference``
-  — return bit-identical results.
+  (Appendix D.3), all in one level-synchronous numpy kernel.
+- :mod:`repro.structure.reference` — the depth-first walk over the
+  node tries that the kernel is property-tested against.
 """
 
 from repro.structure.masking import MaskedTranscription, handle_splchars, mask_literals, preprocess_transcription

@@ -10,19 +10,22 @@ string:
   integer id, with a precomputed per-id operation-weight vector (so the
   inner DP loop never calls ``classify_token`` or hashes a string);
 - each per-length trie flattened into contiguous **first-child /
-  next-sibling arrays** (``array('i')`` / ``array('d')``) carrying node
-  token ids, per-node operation weights, and terminal sentence ids;
+  next-sibling arrays** (``array('i')``) carrying node token ids and
+  terminal sentence ids;
 - one breadth-first **level plan** (:meth:`CompiledStructureIndex.level_plan`,
   built on first use) laying every trie's depth-``d`` nodes side by side
-  as int32 numpy arrays, so the compiled search kernel takes one numpy
-  step per depth for all tries at once.
+  as int32 numpy arrays, so the search kernel takes one numpy step per
+  depth for all tries at once;
+- INV's **keyword masks** (:meth:`CompiledStructureIndex.keyword_masks`,
+  built on the first INV search): per node, a bitmask of the inverted
+  index's keywords held by some structure through it.
 
-The compiled form is weight-specific (the per-id/per-node weight vectors
-bake in one :class:`TokenWeights`); :meth:`CompiledStructureIndex.reweighted`
-derives a variant for different weights while sharing every structural
-array and the level plan.  ``repro.structure.persistence`` serializes
-the flat arrays directly, so a cached index loads without re-inserting
-token sequences into pointer-heavy tries.
+Only the per-id weight vector is weight-specific;
+:meth:`CompiledStructureIndex.reweighted` derives a variant for
+different weights that shares the tries, the level plan and the keyword
+masks outright.  ``repro.structure.persistence`` serializes the flat
+arrays directly, so a cached index loads without re-inserting token
+sequences into pointer-heavy tries.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.grammar.vocabulary import PRIME_SUPERSET
+from repro.grammar.vocabulary import INVERTED_KEYWORDS, PRIME_SUPERSET
 from repro.structure.edit_distance import DEFAULT_WEIGHTS, TokenWeights
 from repro.structure.trie import TokenTrie
 
@@ -54,14 +57,13 @@ def span_state_key(
 ) -> tuple:
     """Identity of one span's cached kernel decode state.
 
-    The compiled kernel's per-span DP/beam work is fully determined by
-    the masked span tokens and the edit weights in force (the level
-    plan is a function of the index, node weights of the index +
-    weights).  The serving layer's
-    :class:`~repro.serving.sessions.SessionStore` keys cached span
-    decodes by this tuple, so reweighting the index (see
-    :meth:`CompiledStructureIndex.reweighted`) invalidates every cached
-    span rather than silently replaying stale distances.
+    The kernel's per-span DP/beam work is fully determined by the
+    masked span tokens and the edit weights in force (the level plan
+    is a function of the index, token weights of the index + weights).
+    The serving layer's :class:`~repro.serving.sessions.SessionStore`
+    keys cached span decodes by this tuple, so reweighting the index
+    (see :meth:`CompiledStructureIndex.reweighted`) invalidates every
+    cached span rather than silently replaying stale distances.
     """
     return (tuple(masked), weights_key(weights))
 
@@ -70,54 +72,23 @@ def span_state_key(
 class CompiledTrie:
     """One length's trie as contiguous first-child/next-sibling arrays.
 
-    Node 0 is the root (empty prefix; ``token_id`` −1, weight 0).  For a
-    node ``i``, ``first_child[i]`` / ``next_sibling[i]`` are node indexes
-    (or :data:`NO_NODE`), ``token_id[i]`` indexes the owning index's
-    intern table, ``node_weight[i]`` is the token's operation weight
-    under the compiled :class:`TokenWeights`, and ``sentence_id[i]`` is
-    the terminal structure's id (or :data:`NO_NODE`).
+    Node 0 is the root (empty prefix; ``token_id`` −1).  For a node
+    ``i``, ``first_child[i]`` / ``next_sibling[i]`` are node indexes (or
+    :data:`NO_NODE`), ``token_id[i]`` indexes the owning index's intern
+    table, and ``sentence_id[i]`` is the terminal structure's id (or
+    :data:`NO_NODE`).  Weights are looked up by token id, so a trie is
+    purely structural and every weight variant shares it.
     """
 
     length: int
     first_child: array
     next_sibling: array
     token_id: array
-    node_weight: array
     sentence_id: array
 
     @property
     def node_count(self) -> int:
         return len(self.first_child)
-
-    def reweighted(
-        self, token_weight: array, changed: "set[int] | None" = None
-    ) -> "CompiledTrie":
-        """The same trie with node weights from ``token_weight`` (per id).
-
-        ``changed`` — when given — is the set of token ids whose weight
-        actually differs from this trie's current weights.  A trie whose
-        tokens are all outside that set is returned as-is (every buffer
-        reused), so deriving a near-identical weight setting does not
-        duplicate the index.
-        """
-        tid = self.token_id
-        if (
-            changed is not None
-            and len(self.node_weight) == self.node_count
-            and not any(t >= 0 and t in changed for t in tid)
-        ):
-            return self
-        node_weight = array(
-            "d", (token_weight[t] if t >= 0 else 0.0 for t in tid)
-        )
-        return CompiledTrie(
-            length=self.length,
-            first_child=self.first_child,
-            next_sibling=self.next_sibling,
-            token_id=tid,
-            node_weight=node_weight,
-            sentence_id=self.sentence_id,
-        )
 
 
 @dataclass(frozen=True)
@@ -162,6 +133,27 @@ class LevelPlan:
 
 
 @dataclass(frozen=True)
+class KeywordMasks:
+    """INV's view of the index (Appendix D.3), as per-node bitmasks.
+
+    A node's mask has keyword ``kw``'s bit ``bits[kw]`` set iff some
+    structure through the node holds ``kw``: the OR of the masks of the
+    structures below it.  Dropping every node without the bit leaves
+    exactly the tries of ``kw``'s postings, in the full tries' order.
+    The masks are structural, so every weight variant shares them.
+    """
+
+    #: Bit of each inverted-index keyword.
+    bits: dict[str, int]
+    #: Per depth, one mask per :class:`LevelPlan` row (uint32).
+    levels: tuple[np.ndarray, ...]
+    #: Per trie length, one mask per :class:`CompiledTrie` node.
+    tries: dict[int, array]
+    #: Per keyword, its postings' count per trie length.
+    structures: dict[str, dict[int, int]]
+
+
+@dataclass(frozen=True)
 class CompiledStructureIndex:
     """An immutable lowered :class:`StructureIndex`.
 
@@ -181,9 +173,10 @@ class CompiledStructureIndex:
     tries: dict[int, CompiledTrie]
     #: Terminal structures by sentence id (DFS discovery order).
     sentences: tuple[tuple[str, ...], ...]
-    #: One-slot holder of the :class:`LevelPlan`, shared by every
-    #: :meth:`reweighted` variant.
+    #: One-slot holders of the :class:`LevelPlan` and the
+    #: :class:`KeywordMasks`, shared by every :meth:`reweighted` variant.
     _plan: list = field(default_factory=list, repr=False, compare=False)
+    _masks: list = field(default_factory=list, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -197,6 +190,13 @@ class CompiledStructureIndex:
         if not self._plan:
             self._plan.append(_build_plan(self.tries))
         return self._plan[0]
+
+    def keyword_masks(self) -> KeywordMasks:
+        """INV's keyword masks, built on first use and cached (the build
+        is idempotent, like :meth:`level_plan`'s)."""
+        if not self._masks:
+            self._masks.append(_build_masks(self, self.level_plan()))
+        return self._masks[0]
 
     @property
     def lengths(self) -> list[int]:
@@ -248,7 +248,7 @@ class CompiledStructureIndex:
             )
         token_weight = array("d", (weights.of(t) for t in tokens))
         prime = tuple(t in PRIME_SUPERSET for t in tokens)
-        compiled = cls(
+        return cls(
             tokens=tuple(tokens),
             token_ids=token_ids,
             token_weight=token_weight,
@@ -257,44 +257,25 @@ class CompiledStructureIndex:
             tries=tries,
             sentences=tuple(sentences),
         )
-        return _with_node_weights(compiled)
 
     def reweighted(self, weights: TokenWeights) -> "CompiledStructureIndex":
         """A compiled variant for different weights.
 
-        Structural arrays (children, siblings, token ids, sentence ids)
-        and the level plan are always shared.  Weight buffers are only
-        recomputed where the new weights actually change a value: when
-        the per-id vector is unchanged every trie is reused outright,
-        and otherwise only the tries touching a changed token id are
-        rebuilt (the rest keep their node-weight buffers too).
+        Only the per-id weight vector is recomputed; the tries, the
+        level plan and the keyword masks are shared outright.
         """
         if weights_key(weights) == self.weights_key:
             return self
-        token_weight = array("d", (weights.of(t) for t in self.tokens))
-        if token_weight == self.token_weight:
-            # Different setting, same effective per-token weights (e.g.
-            # a class absent from the intern table changed): every
-            # buffer — including node weights — is reusable.
-            tries = self.tries
-        else:
-            old = self.token_weight
-            changed = {
-                i for i, w in enumerate(token_weight) if w != old[i]
-            }
-            tries = {
-                length: trie.reweighted(token_weight, changed=changed)
-                for length, trie in self.tries.items()
-            }
         return CompiledStructureIndex(
             tokens=self.tokens,
             token_ids=self.token_ids,
-            token_weight=token_weight,
+            token_weight=array("d", (weights.of(t) for t in self.tokens)),
             prime=self.prime,
             weights=weights,
-            tries=tries,
+            tries=self.tries,
             sentences=self.sentences,
             _plan=self._plan,
+            _masks=self._masks,
         )
 
     # -- serialization ------------------------------------------------------
@@ -367,7 +348,6 @@ class CompiledStructureIndex:
                 first_child=first_child,
                 next_sibling=next_sibling,
                 token_id=token_id,
-                node_weight=array("d"),
                 sentence_id=sentence_id,
             )
             _collect_sentences(tries[length], tokens, sentences)
@@ -375,7 +355,7 @@ class CompiledStructureIndex:
             raise ValueError("missing terminal structures")
         token_weight = array("d", (weights.of(t) for t in tokens))
         prime = tuple(t in PRIME_SUPERSET for t in tokens)
-        compiled = cls(
+        return cls(
             tokens=tokens,
             token_ids=token_ids,
             token_weight=token_weight,
@@ -384,7 +364,6 @@ class CompiledStructureIndex:
             tries=tries,
             sentences=tuple(sentences),  # type: ignore[arg-type]
         )
-        return _with_node_weights(compiled)
 
 
 def _compile_trie(
@@ -438,26 +417,7 @@ def _compile_trie(
         first_child=array("i", first_child),
         next_sibling=array("i", next_sibling),
         token_id=array("i", token_id),
-        node_weight=array("d"),
         sentence_id=array("i", sentence_id),
-    )
-
-
-def _with_node_weights(compiled: CompiledStructureIndex) -> CompiledStructureIndex:
-    """Fill every trie's per-node weight vector from the per-id vector."""
-    tries = {
-        length: trie.reweighted(compiled.token_weight)
-        for length, trie in compiled.tries.items()
-    }
-    return CompiledStructureIndex(
-        tokens=compiled.tokens,
-        token_ids=compiled.token_ids,
-        token_weight=compiled.token_weight,
-        prime=compiled.prime,
-        weights=compiled.weights,
-        tries=tries,
-        sentences=compiled.sentences,
-        _plan=compiled._plan,
     )
 
 
@@ -519,6 +479,59 @@ def _build_plan(tries: dict[int, CompiledTrie]) -> LevelPlan:
             )
         )
     return LevelPlan(levels=tuple(levels), structures=structures)
+
+
+def _build_masks(
+    compiled: CompiledStructureIndex, plan: LevelPlan
+) -> KeywordMasks:
+    """Every node's keyword mask, per trie node and per plan row."""
+    bits = {kw: 1 << i for i, kw in enumerate(sorted(INVERTED_KEYWORDS))}
+    token_bit = [bits.get(token, 0) for token in compiled.tokens]
+    rows: list[list[int]] = [[] for _ in plan.levels]
+    tries: dict[int, array] = {}
+    for length in sorted(compiled.tries):
+        trie = compiled.tries[length]
+        fc, ns, tid = trie.first_child, trie.next_sibling, trie.token_id
+        mask = array("I", bytes(4 * trie.node_count))
+        # Top-down, in the plan's breadth-first order: each node's mask
+        # starts as the keywords on its root path.
+        frontiers = [[0]]
+        while True:
+            nxt: list[int] = []
+            for node in frontiers[-1]:
+                path = mask[node]
+                child = fc[node]
+                while child != NO_NODE:
+                    mask[child] = path | token_bit[tid[child]]
+                    nxt.append(child)
+                    child = ns[child]
+            if not nxt:
+                break
+            frontiers.append(nxt)
+        # Bottom-up: a node holds whatever the structures below it hold.
+        for frontier in reversed(frontiers[:-1]):
+            for node in frontier:
+                acc = mask[node]
+                child = fc[node]
+                while child != NO_NODE:
+                    acc |= mask[child]
+                    child = ns[child]
+                mask[node] = acc
+        tries[length] = mask
+        for depth, frontier in enumerate(frontiers):
+            rows[depth].extend(mask[node] for node in frontier)
+    levels = tuple(np.array(masks, dtype=np.uint32) for masks in rows)
+    structures: dict[str, dict[int, int]] = {kw: {} for kw in bits}
+    for depth in range(1, len(levels)):
+        # A length-L trie's terminals are its depth-L nodes.
+        leaves = levels[depth][plan.levels[depth].length == depth]
+        for kw, bit in bits.items():
+            count = int(np.count_nonzero(leaves & bit))
+            if count:
+                structures[kw][depth] = count
+    return KeywordMasks(
+        bits=bits, levels=levels, tries=tries, structures=structures
+    )
 
 
 def _collect_sentences(

@@ -15,8 +15,9 @@ Two representations coexist:
   when structures are added).
 
 An index loaded from the disk cache starts *compiled-only* and
-materializes its node tries lazily — only reference-kernel searches and
-direct trie walks pay that cost.
+materializes its node tries lazily — only the test oracle
+(:func:`repro.structure.reference.reference_search`) and direct trie
+walks pay that cost.
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.grammar.generator import StructureGenerator
-from repro.grammar.vocabulary import KEYWORD_DICT
+from repro.grammar.vocabulary import INVERTED_KEYWORDS
 from repro.structure.compiled import CompiledStructureIndex, weights_key
 from repro.structure.edit_distance import DEFAULT_WEIGHTS, TokenWeights
 from repro.structure.trie import TokenTrie
-
-#: Keywords excluded from the inverted index (they occur in virtually
-#: every structure, so their postings are useless for narrowing).
-_INV_EXCLUDED = frozenset({"SELECT", "FROM", "WHERE"})
-
 
 @dataclass
 class StructureIndex:
@@ -78,7 +74,7 @@ class StructureIndex:
         index._compiled_size = index._size
         for sentence in compiled.sentences:
             for keyword in set(sentence):
-                if keyword in KEYWORD_DICT and keyword not in _INV_EXCLUDED:
+                if keyword in INVERTED_KEYWORDS:
                     index.inverted.setdefault(keyword, []).append(sentence)
         return index
 
@@ -113,7 +109,7 @@ class StructureIndex:
             return  # duplicate
         self._size += 1
         for keyword in set(tokens):
-            if keyword in KEYWORD_DICT and keyword not in _INV_EXCLUDED:
+            if keyword in INVERTED_KEYWORDS:
                 self.inverted.setdefault(keyword, []).append(tokens)
 
     def compiled(
@@ -173,17 +169,15 @@ class StructureIndex:
             return 0
         return max(trie.node_count for trie in self._tries.values())
 
-    def inverted_postings(self, keywords: Iterable[str]) -> list[tuple[str, ...]] | None:
-        """INV candidate retrieval: postings of the rarest present keyword.
-
-        Returns None when no indexed keyword is present (the caller falls
-        back to full search).
-        """
-        best: list[tuple[str, ...]] | None = None
-        for keyword in keywords:
-            postings = self.inverted.get(keyword.upper())
-            if postings is None:
-                continue
-            if best is None or len(postings) < len(best):
-                best = postings
+    def rarest_keyword(self, tokens: Iterable[str]) -> str | None:
+        """INV's narrowing keyword: the indexed keyword among ``tokens``
+        with the fewest postings (the first one on ties), or None when
+        no indexed keyword is present (the search then runs in full)."""
+        best = None
+        best_size = 0
+        for token in tokens:
+            keyword = token.upper()
+            postings = self.inverted.get(keyword)
+            if postings is not None and (best is None or len(postings) < best_size):
+                best, best_size = keyword, len(postings)
         return best

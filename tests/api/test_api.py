@@ -26,13 +26,13 @@ from repro.core import SpeakQLArtifacts, SpeakQLService
 class TestQueryRequest:
     def test_overrides_mapping_normalizes_to_sorted_pairs(self):
         request = QueryRequest(
-            text="x", overrides={"top_k": 1, "search_kernel": "flat"}
+            text="x", overrides={"use_bdb": False, "top_k": 1}
         )
         assert request.overrides == (
-            ("search_kernel", "flat"), ("top_k", 1),
+            ("top_k", 1), ("use_bdb", False),
         )
         assert request.overrides_dict() == {
-            "search_kernel": "flat", "top_k": 1,
+            "use_bdb": False, "top_k": 1,
         }
 
     def test_requests_are_frozen_and_hashable(self):
@@ -80,10 +80,10 @@ class TestQueryRequest:
 
     def test_overrides_pairs_accepted_without_sorting(self):
         request = QueryRequest(
-            text="x", overrides=[("top_k", 1), ("search_kernel", "flat")]
+            text="x", overrides=[("use_bdb", False), ("top_k", 1)]
         )
         assert request.overrides == (
-            ("top_k", 1), ("search_kernel", "flat"),
+            ("use_bdb", False), ("top_k", 1),
         )
 
     def test_overrides_rejects_unknown_container_types(self):

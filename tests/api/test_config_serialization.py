@@ -22,8 +22,9 @@ class TestRoundTrip:
     def test_non_default_config_round_trips(self):
         config = SpeakQLConfig(
             top_k=2,
-            search_kernel="flat",
+            use_bdb=False,
             use_dap=True,
+            use_inv=True,
             literal_window_size=6,
             literal_focused=True,
         )
@@ -42,6 +43,16 @@ class TestVersionGate:
         data = SpeakQLConfig().to_dict()
         del data["version"]
         with pytest.raises(ValueError, match="version"):
+            SpeakQLConfig.from_dict(data)
+
+    def test_version_one_rejected(self):
+        # Version 1 carried ``search_kernel``; a bundle written then must
+        # be refused, not replayed against a different pipeline.
+        assert CONFIG_VERSION == 2
+        data = SpeakQLConfig().to_dict()
+        data["version"] = 1
+        data["search_kernel"] = "compiled"
+        with pytest.raises(ValueError, match="unsupported SpeakQLConfig version 1"):
             SpeakQLConfig.from_dict(data)
 
     def test_future_version_rejected(self):
@@ -67,11 +78,9 @@ class TestWithOverrides:
 
     def test_overrides_apply_over_current_values(self):
         config = SpeakQLConfig(top_k=5)
-        derived = config.with_overrides(
-            {"top_k": 1, "search_kernel": "flat"}
-        )
+        derived = config.with_overrides({"top_k": 1, "use_dap": True})
         assert derived.top_k == 1
-        assert derived.search_kernel == "flat"
+        assert derived.use_dap is True
         assert derived.use_bdb == config.use_bdb  # untouched knobs kept
         assert config.top_k == 5  # frozen original
 

@@ -88,7 +88,7 @@ class TestRecording:
         assert record.masked  # masking captured
         assert record.candidates  # ranked structure candidates
         assert record.candidates[0].distance <= record.candidates[-1].distance
-        assert record.search_stats.get("kernel")
+        assert record.search_stats.get("nodes_visited")
         assert record.placeholders  # voting tallies
         assert all(
             isinstance(trace, PlaceholderTrace)

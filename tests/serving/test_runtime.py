@@ -97,11 +97,11 @@ class TestBitIdentity:
     def test_ladder_overrides_win_over_request_overrides(self, service):
         runtime = ServingRuntime(service)
         request = QueryRequest(
-            text=TRAINING[0], seed=7, overrides={"search_kernel": "compiled"}
+            text=TRAINING[0], seed=7, overrides={"top_k": 3}
         )
-        # Rung 1 of the default ladder forces the flat kernel.
+        # Rung 1 of the default ladder forces top_k=1.
         derived = runtime._pipeline_for(request, 1)
-        assert derived.config.search_kernel == "flat"
+        assert derived.config.top_k == 1
 
 
 # -- deadlines ---------------------------------------------------------------
@@ -267,7 +267,7 @@ class TestLadderDeterminism:
         assert runs[0].output.queries == runs[1].output.queries
         assert runs[0].sql == runs[1].sql
 
-    def test_degraded_matches_explicit_flat_kernel_run(self, service):
+    def test_degraded_matches_explicit_rung_run(self, service):
         runtime = ServingRuntime(service, degrade_below=10.0)
         request = QueryRequest(text=TRAINING[0], seed=7, deadline=5.0)
         degraded = runtime.submit(request)
@@ -310,10 +310,11 @@ class TestLadderDeterminism:
 
     def test_default_ladder_shape(self):
         assert [rung.name for rung in DEFAULT_LADDER] == [
-            "requested", "flat_kernel", "reduced_top_k", "bdb_only",
+            "requested", "reduced_top_k", "bdb_only",
         ]
         assert DEFAULT_LADDER[0].overrides == ()
-        assert DEFAULT_LADDER[3].overrides_dict()["use_dap"] is False
+        assert DEFAULT_LADDER[1].overrides_dict() == {"top_k": 1}
+        assert DEFAULT_LADDER[2].overrides_dict()["use_dap"] is False
 
 
 def _raise_runtime_error(*args, **kwargs):

@@ -1,19 +1,22 @@
-"""Randomized parity: compiled kernels vs the reference vs brute force.
+"""Randomized parity: the search kernel vs the oracle vs brute force.
 
-The compiled (level-synchronous) and flat (scalar) kernels promise
-*bit-identical* results — equal distances (as floats, not approximately),
-equal structures, equal top-k order — under every flag combination and
-weight setting.  The flat kernel additionally promises identical search
-statistics; the compiled kernel promises identical ``tries_searched`` /
-``tries_skipped`` (its nodes/cells/candidates counters measure its own
-work, see :class:`repro.structure.search.SearchStats`).
+The level-synchronous kernel promises results *bit-identical* to the
+depth-first oracle, :func:`repro.structure.reference.reference_search`
+— equal distances (as floats, not approximately), equal structures,
+equal top-k order — under every flag combination and weight setting,
+plus identical ``tries_searched`` / ``tries_skipped`` (its
+nodes/cells/candidates counters measure its own work, see
+:class:`repro.structure.search.SearchStats`).
 """
 
 import random
 
 import pytest
 
+from functools import partial
+
 from repro.structure.edit_distance import TokenWeights, weighted_edit_distance
+from repro.structure.reference import reference_search
 from repro.structure.search import StructureSearchEngine
 
 #: Every optimization-flag combination exercised by the parity sweep.
@@ -50,27 +53,22 @@ def _queries(index, seed, count):
 
 
 def _engines(index, weights=None, **flags):
-    kwargs = dict(flags, cache_results=False)
+    """The oracle (``(masked, k) -> (results, stats)``) and the engine."""
     if weights is not None:
-        kwargs["weights"] = weights
+        flags["weights"] = weights
     return (
-        StructureSearchEngine(index, kernel="reference", **kwargs),
-        StructureSearchEngine(index, kernel="flat", **kwargs),
-        StructureSearchEngine(index, kernel="compiled", **kwargs),
+        partial(reference_search, index, **flags),
+        StructureSearchEngine(index, cache_results=False, **flags),
     )
 
 
-def _assert_parity(ref, flat, comp, masked, k):
-    r_ref, s_ref = ref.search(masked, k=k)
-    r_flat, s_flat = flat.search(masked, k=k)
+def _assert_parity(ref, comp, masked, k):
+    r_ref, s_ref = ref(masked, k)
     r_comp, s_comp = comp.search(masked, k=k)
     # Bit-identical results: same structures, same float distances,
     # same order.  No pytest.approx on purpose.
-    assert r_flat == r_ref, (masked, k)
     assert r_comp == r_ref, (masked, k)
-    # The flat kernel replays the reference walk; all stats agree.
-    assert s_flat == s_ref, (masked, k)
-    # The compiled kernel agrees on trie-level decisions.
+    # The kernel agrees on trie-level decisions.
     assert s_comp.tries_searched == s_ref.tries_searched, (masked, k)
     assert s_comp.tries_skipped == s_ref.tries_skipped, (masked, k)
     return r_ref
@@ -94,20 +92,20 @@ class TestKernelParity:
         ) or "none",
     )
     def test_all_kernels_agree(self, small_index, flags):
-        ref, flat, comp = _engines(small_index, **flags)
+        ref, comp = _engines(small_index, **flags)
         for masked in _queries(small_index, seed=7, count=12):
             for k in KS:
-                _assert_parity(ref, flat, comp, masked, k)
+                _assert_parity(ref, comp, masked, k)
 
     def test_exact_configs_match_brute_force(self, small_index):
         # DAP and INV are approximate by design; every other combination
         # must return exactly the brute-force top-k distances.
         weights = TokenWeights()
         for use_bdb in (True, False):
-            ref, flat, comp = _engines(small_index, use_bdb=use_bdb)
+            ref, comp = _engines(small_index, use_bdb=use_bdb)
             for masked in _queries(small_index, seed=11, count=8):
                 for k in KS:
-                    results = _assert_parity(ref, flat, comp, masked, k)
+                    results = _assert_parity(ref, comp, masked, k)
                     expected = _brute_force(small_index, masked, k, weights)
                     assert [r.distance for r in results] == [
                         d for d, _ in expected
@@ -121,19 +119,19 @@ class TestKernelParity:
                 splchar=round(rng.uniform(0.5, 3.0), 2),
                 literal=round(rng.uniform(0.5, 3.0), 2),
             )
-            ref, flat, comp = _engines(small_index, weights=weights)
+            ref, comp = _engines(small_index, weights=weights)
             for masked in _queries(small_index, seed=29, count=6):
                 for k in KS:
-                    results = _assert_parity(ref, flat, comp, masked, k)
+                    results = _assert_parity(ref, comp, masked, k)
                     expected = _brute_force(small_index, masked, k, weights)
                     assert [r.distance for r in results] == [
                         d for d, _ in expected
                     ], (masked, k, weights)
 
     def test_compiled_counts_its_own_work(self, small_index):
-        # The compiled kernel's work counters are its own (documented)
+        # The kernel's work counters are its own (documented)
         # semantics, but they must still be populated on every search.
-        _, _, comp = _engines(small_index)
+        _, comp = _engines(small_index)
         for masked in _queries(small_index, seed=37, count=5):
             _, stats = comp.search(masked, k=3)
             assert stats.nodes_visited > 0
@@ -144,7 +142,7 @@ class TestKernelParity:
 def _length_offset_queries(index, rng, count):
     """Index sentences edited to lie 0-4 tokens away from a trie length.
 
-    The per-cell length bound of the compiled kernel depends on how far
+    The per-cell length bound of the kernel depends on how far
     the query length is from each trie's length, so the sweep walks that
     gap explicitly: each query starts from a structure of length ``L``
     and is grown or shrunk to ``L + offset`` with ``|offset| <= 4``,
@@ -169,7 +167,7 @@ def _length_offset_queries(index, rng, count):
 
 
 class TestPerCellLengthBound:
-    """The compiled kernel's per-cell bound ``D[i] + |(m-i)-(L-d)|*w_min``
+    """The kernel's per-cell bound ``D[i] + |(m-i)-(L-d)|*w_min``
     narrows its band and prunes rows; it must never change a result."""
 
     @pytest.mark.parametrize("decimals", [1, 2])
@@ -186,7 +184,7 @@ class TestPerCellLengthBound:
                 splchar=round(rng.uniform(0.3, 3.0), decimals),
                 literal=round(rng.uniform(0.3, 3.0), decimals),
             )
-            ref, flat, comp = _engines(small_index, weights=weights, **flags)
+            ref, comp = _engines(small_index, weights=weights, **flags)
             for masked in _length_offset_queries(small_index, rng, 6):
                 for k in KS:
-                    _assert_parity(ref, flat, comp, masked, k)
+                    _assert_parity(ref, comp, masked, k)

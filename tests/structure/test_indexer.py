@@ -45,9 +45,13 @@ class TestInvertedIndex:
         index.add(("SELECT", "x", "FROM", "x", "LIMIT", "x"))
         index.add(("SELECT", "x", "FROM", "x", "ORDER", "BY", "x"))
         index.add(("SELECT", "x", "FROM", "x", "ORDER", "BY", "x", "LIMIT", "x"))
-        postings = index.inverted_postings(["LIMIT", "ORDER"])
-        assert postings is not None
-        assert len(postings) == 2  # LIMIT appears in 2 < ORDER's 2... equal
+        # LIMIT and ORDER hold two postings each: the first one wins ties.
+        assert index.rarest_keyword(["LIMIT", "ORDER"]) == "LIMIT"
+        assert index.rarest_keyword(["ORDER", "LIMIT"]) == "ORDER"
+        index.add(("SELECT", "x", "FROM", "x", "ORDER", "BY", "x", ",", "x"))
+        # A strictly smaller postings list wins; tokens are upper-cased.
+        assert index.rarest_keyword(["order", "x", "limit"]) == "LIMIT"
 
     def test_no_indexed_keyword_returns_none(self, small_index):
-        assert small_index.inverted_postings(["x"]) is None
+        assert small_index.rarest_keyword(["x"]) is None
+        assert small_index.rarest_keyword(["SELECT", "FROM", "WHERE"]) is None

@@ -1,14 +1,17 @@
-"""Tie and edge-case parity of the one-pass compiled kernel.
+"""Tie and edge-case parity of the one-pass search kernel.
 
-The compiled kernel walks every length trie in one pass over depth,
-keeps only terminals at or under a running cutoff, then replays Box 2
-(closest length first, BDB skips, reversed level order) over what it
-kept.  These cases stress exactly that: unit weights, where many
-lengths and structures tie; every ``k`` from 1 to 8; queries whose
-closest trie holds fewer than ``k`` structures, so the beam bound comes
-from a farther length or is infinite; INV subindexes; and BDB off.
-Results must equal the reference's — structures, float distances and
-order — and so must ``tries_searched`` / ``tries_skipped``.
+The kernel walks every length trie in one pass over depth, keeps only
+terminals at or under a running cutoff, then replays Box 2 (closest
+length first, BDB skips, reversed level order) over what it kept.
+These cases stress exactly that: unit weights, where many lengths and
+structures tie; every ``k`` from 1 to 8; queries whose closest trie
+holds fewer than ``k`` structures, so the beam bound comes from a
+farther length or is infinite; BDB off; DAP, whose per-parent choice
+and reorder must reproduce the depth-first walk's; and INV, alone and
+with DAP.  Results must equal the oracle's — structures, float
+distances and order — and so must ``tries_searched`` /
+``tries_skipped``.  INV is also checked against its literal form: a
+trie subindex built over the rarest keyword's postings.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 
 from repro.structure.edit_distance import DEFAULT_WEIGHTS, UNIT_WEIGHTS
 from repro.structure.indexer import StructureIndex
+from repro.structure.reference import reference_search
 from repro.structure.search import StructureSearchEngine
 
 KS = tuple(range(1, 9))
@@ -51,15 +55,13 @@ def _queries(index, seed, count):
 
 
 def _assert_parity(index, queries, weights, **flags):
-    ref = StructureSearchEngine(index, kernel="reference", weights=weights,
-                                cache_results=False, **flags)
-    comp = StructureSearchEngine(index, kernel="compiled", weights=weights,
-                                 cache_results=False, **flags)
+    comp = StructureSearchEngine(index, weights=weights, cache_results=False,
+                                 **flags)
     for masked in queries:
         for k in KS:
-            r_ref, s_ref = ref.search(masked, k=k)
+            r_ref, s_ref = reference_search(index, masked, k, weights=weights,
+                                            **flags)
             r_comp, s_comp = comp.search(masked, k=k)
-            assert s_comp.kernel == "compiled"
             assert r_comp == r_ref, (masked, k)
             assert (s_comp.tries_searched, s_comp.tries_skipped) == (
                 s_ref.tries_searched, s_ref.tries_skipped
@@ -70,6 +72,9 @@ FLAGS = [
     {"use_bdb": True},
     {"use_bdb": False},
     {"use_bdb": True, "use_inv": True},
+    {"use_bdb": True, "use_dap": True},
+    {"use_bdb": False, "use_dap": True},
+    {"use_bdb": True, "use_dap": True, "use_inv": True},
 ]
 
 
@@ -118,3 +123,44 @@ class TestTiesAndEdges:
         queries = _queries(index, 9, 20) + [("SELECT", "x", "FROM", "x", "=")]
         for weights in (UNIT_WEIGHTS, DEFAULT_WEIGHTS):
             _assert_parity(index, queries, weights, **flags)
+
+
+class TestInvAgainstSubindex:
+    """INV's literal form searches a trie subindex built over the rarest
+    keyword's postings.  The keyword mask keeps exactly those
+    structures, so every top-k distance list (and ``tries_*``) matches
+    it.  Only the order within exact ties may differ: the subindex
+    orders siblings by first insertion among the postings alone."""
+
+    @pytest.mark.parametrize("use_bdb", [True, False], ids=["bdb", "no_bdb"])
+    @pytest.mark.parametrize(
+        "weights", [UNIT_WEIGHTS, DEFAULT_WEIGHTS], ids=["unit", "default"]
+    )
+    def test_distances_match_the_subindex_route(
+        self, small_index, weights, use_bdb
+    ):
+        engine = StructureSearchEngine(small_index, weights=weights,
+                                       use_bdb=use_bdb, use_inv=True,
+                                       cache_results=False)
+        subindexes = {}
+        checked = 0
+        for masked in _queries(small_index, 13, 60):
+            keyword = small_index.rarest_keyword(masked)
+            if keyword is None:
+                continue
+            if keyword not in subindexes:
+                subindexes[keyword] = StructureIndex.from_structures(
+                    small_index.inverted[keyword]
+                )
+            for k in KS:
+                old, s_old = reference_search(subindexes[keyword], masked, k,
+                                              weights=weights, use_bdb=use_bdb)
+                new, s_new = engine.search(masked, k=k)
+                assert [r.distance for r in new] == [
+                    r.distance for r in old
+                ], (masked, k)
+                assert (s_new.tries_searched, s_new.tries_skipped) == (
+                    s_old.tries_searched, s_old.tries_skipped
+                ), (masked, k)
+            checked += 1
+        assert checked >= 10

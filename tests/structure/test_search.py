@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.structure.edit_distance import weighted_edit_distance
+from repro.structure.edit_distance import UNIT_WEIGHTS, weighted_edit_distance
 from repro.structure.indexer import StructureIndex
 from repro.structure.search import StructureSearchEngine
 
@@ -99,20 +99,20 @@ class TestApproximations:
         assert results[0].distance >= 0
 
     def test_dap_prunes_prime_superset_siblings(self):
-        # Structures differing only in the aggregate keyword: DAP explores
-        # one branch where the default explores all five.
+        # Structures differing only in the aggregate keyword: asked for
+        # all five, the default explores every branch; DAP explores one
+        # and returns one structure.
         index = StructureIndex()
         for func in ("AVG", "SUM", "MAX", "MIN", "COUNT"):
             index.add(("SELECT", func, "(", "x", ")", "FROM", "x"))
         masked = tuple("SELECT AVG ( x ) FROM x".split())
-        # DAP engines run the flat kernel (the level-synchronous one
-        # cannot reproduce DAP's traversal order); pin the baseline to
-        # the same kernel so the node counts are comparable.
-        default = StructureSearchEngine(index, kernel="flat", cache_results=False)
+        default = StructureSearchEngine(index, cache_results=False)
         dap = StructureSearchEngine(index, use_dap=True, cache_results=False)
-        _, s1 = default.search(masked)
-        _, s2 = dap.search(masked)
+        r1, s1 = default.search(masked, k=5)
+        r2, s2 = dap.search(masked, k=5)
         assert s2.nodes_visited < s1.nodes_visited
+        assert len(r1) == 5
+        assert [r.structure for r in r2] == [masked]
 
     def test_dap_can_lose_accuracy(self):
         # The pruned branch may hold the true best: DAP trades accuracy.
@@ -128,19 +128,24 @@ class TestApproximations:
         engine = StructureSearchEngine(small_index, use_inv=True)
         masked = tuple("SELECT x FROM x LIMIT x".split())
         results, stats = engine.search(masked)
-        assert stats.candidates_scored > 0  # searched a keyword subindex
+        assert stats.candidates_scored > 0  # searched the LIMIT postings
         assert stats.candidates_scored < len(small_index)
         assert results[0].structure == masked
 
-    def test_inv_subindex_cached(self, small_index):
-        engine = StructureSearchEngine(
-            small_index, use_inv=True, cache_results=False
-        )
-        masked = tuple("SELECT x FROM x LIMIT x".split())
-        engine.search(masked)
-        subindexes = dict(engine._inv_subindexes)
-        engine.search(masked)
-        assert engine._inv_subindexes == subindexes
+    def test_inv_mask_built_once(self, small_index):
+        # The keyword masks are built on the first INV search and shared
+        # by every later search and every weight variant.
+        compiled = StructureIndex.from_structures(
+            s for t in small_index.tries.values() for s in t.sentences()
+        ).compiled()
+        index = StructureIndex.from_compiled(compiled)
+        engine = StructureSearchEngine(index, use_inv=True, cache_results=False)
+        assert compiled._masks == []
+        engine.search(tuple("SELECT x FROM x LIMIT x".split()))
+        masks = compiled.keyword_masks()
+        engine.search(tuple("SELECT x FROM x GROUP BY x".split()))
+        assert compiled._masks == [masks]
+        assert compiled.reweighted(UNIT_WEIGHTS).keyword_masks() is masks
 
     def test_inv_falls_back_without_keywords(self, small_index):
         engine = StructureSearchEngine(small_index, use_inv=True)
@@ -178,17 +183,6 @@ class TestCache:
         assert a in engine._cache
         assert c in engine._cache
         assert b not in engine._cache
-
-    def test_inv_subindex_cache_evicts_least_recent(self, small_index):
-        engine = StructureSearchEngine(
-            small_index, use_inv=True, cache_results=False, max_inv_subindexes=1
-        )
-        engine.search(tuple("SELECT x FROM x LIMIT x".split()))
-        assert list(engine._inv_subindexes) == ["LIMIT"]
-        engine.search(tuple("SELECT x FROM x GROUP BY x".split()))
-        # Only the most recent keyword's subindex is retained.
-        assert len(engine._inv_subindexes) == 1
-        assert "LIMIT" not in engine._inv_subindexes
 
 
 class _EvictOnHit(OrderedDict):
@@ -231,23 +225,6 @@ class TestCacheThreadSafety:
         assert results == expected
         assert stats.result_cache_hit
         assert len(engine._cache) == 2
-
-    def test_inv_hit_survives_concurrent_eviction(self, small_index):
-        engine = StructureSearchEngine(
-            small_index, use_inv=True, cache_results=False, max_inv_subindexes=1
-        )
-        limit = tuple("SELECT x FROM x LIMIT x".split())
-        group = tuple("SELECT x FROM x GROUP BY x".split())
-        expected, _ = engine.search(limit)
-        lru = _EvictOnHit(lambda: engine.search(group))
-        lru.update(engine._inv_subindexes)
-        engine._inv_subindexes = lru
-        lru.armed = True
-        results, stats = engine.search(limit)
-        lru.helper.join()
-        assert results == expected
-        assert stats.inv_cache_hits == 1
-        assert len(engine._inv_subindexes) == 1
 
 
 class TestCacheStress:

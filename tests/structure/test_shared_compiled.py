@@ -2,12 +2,13 @@
 
 ``CompiledStructureIndex.reweighted`` derives a variant for different
 token weights; these tests pin down that the variants share (never
-copy) the structural trie arrays and the level plan, and reuse whole
-tries whose weights did not change.
+copy) the tries, the level plan and the keyword masks: only the per-id
+weight vector differs.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.structure.compiled import CompiledStructureIndex
@@ -82,21 +83,51 @@ class TestReweightedBufferReuse:
             loaded.level_plan()
 
     def test_unaffected_tries_keep_their_weight_buffers(self, compiled):
-        # A weight change that leaves the effective per-token vector
-        # untouched for some tries must reuse those tries outright.
+        # Tries hold no weights, so every variant reuses them outright.
         base = compiled.reweighted(UNIT_WEIGHTS)
         again = base.reweighted(DEFAULT_WEIGHTS)
         back = again.reweighted(UNIT_WEIGHTS)
-        for length, trie in base.tries.items():
-            assert list(back.tries[length].node_weight) == list(
-                trie.node_weight
-            )
+        assert back.tries is compiled.tries
+        assert list(back.token_weight) == list(base.token_weight)
+
+    def test_weight_variants_share_one_keyword_mask(self, compiled):
+        other = compiled.reweighted(UNIT_WEIGHTS)
+        assert other.keyword_masks() is compiled.keyword_masks()
+
+    def test_keyword_masks_count_each_keywords_postings(self, small_index):
+        masks = small_index.compiled().keyword_masks()
+        assert set(masks.bits) == set(masks.structures)
+        for keyword, postings in small_index.inverted.items():
+            lengths = {}
+            for posting in postings:
+                lengths[len(posting)] = lengths.get(len(posting), 0) + 1
+            assert masks.structures[keyword] == lengths, keyword
+        compiled = small_index.compiled()
+        plan = compiled.level_plan()
+        for depth, level in enumerate(plan.levels[1:], start=1):
+            rows = masks.levels[depth]
+            assert rows.shape == level.token_id.shape
+            # A terminal's mask is its structure's keyword set.
+            for row in (level.length == depth).nonzero()[0]:
+                sentence = compiled.sentences[level.sentence_id[row]]
+                assert rows[row] == sum(
+                    bit for kw, bit in masks.bits.items() if kw in sentence
+                )
+            # A parent's mask is the OR of its children's.
+            parents = masks.levels[depth - 1]
+            starts = plan.levels[depth - 1].child_start
+            counts = plan.levels[depth - 1].child_count
+            for j in range(len(parents)):
+                if counts[j]:
+                    ors = np.bitwise_or.reduce(
+                        rows[starts[j] : starts[j] + counts[j]]
+                    )
+                    assert parents[j] == ors
 
     def test_reweighted_view_searches_identically(self, compiled):
         engine = StructureSearchEngine(
             StructureIndex.from_compiled(compiled),
             weights=UNIT_WEIGHTS,
-            kernel="compiled",
         )
         masked = tuple("SELECT x FROM x".split())
         results, _ = engine.search(masked, k=3)
