@@ -7,7 +7,7 @@ from collections import Counter
 
 from benchmarks.conftest import PipelineRun
 from repro.grammar.categorizer import LiteralCategory
-from repro.literal.voting import char_edit_distance
+from repro.phonetics.levenshtein import char_edit_distance
 from repro.phonetics.metaphone import metaphone
 from repro.structure.edit_distance import UNIT_WEIGHTS, weighted_edit_distance
 

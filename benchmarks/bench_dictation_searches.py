@@ -26,9 +26,9 @@ and the spread (IQR) of the per-repeat medians.  The run exits 1 when a
 side's stage timings cover less than ``MIN_COVERAGE`` (0.95) of its
 dictation wall time: time outside every stage is time no stage
 span or ``speakql_stage_seconds`` series can show.  Each repeat
-starts both sides from an empty result cache, placeholder memo and
-edit-distance memo; within a repeat they stay warm across dictations,
-as in a daemon.
+starts both sides from an empty result cache, placeholder memo,
+distance-row cache and segment-code memo; within a repeat they stay
+warm across dictations, as in a daemon.
 
 Run as a script::
 
@@ -51,7 +51,8 @@ from repro.core import SpeakQL, SpeakQLArtifacts
 from repro.core.stages import QueryContext
 from repro.dataset import build_employees_catalog
 from repro.dataset.spoken import make_spoken_dataset
-from repro.phonetics.levenshtein import char_edit_distance
+from repro.literal.segmentation import segment_code
+from repro.literal.voting import segment_rows
 
 SIDES = ("cached", "uncached")
 # As the repository benchmark's dictate workload: n-best 5 dictations of
@@ -191,7 +192,8 @@ def run(args: argparse.Namespace) -> dict:
             determiner = speakql._determiner
             speakql._searcher._cache.clear()
             determiner.cache_clear()
-            char_edit_distance.cache_clear()
+            segment_rows.cache_clear()
+            segment_code.cache_clear()
             answers, this_repeat = [], []
             for query in dictations:
                 before = determiner.cache_info()

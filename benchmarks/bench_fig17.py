@@ -9,9 +9,9 @@ exact matches phonetically).
 
 from benchmarks.conftest import record_report
 from repro.grammar.categorizer import LiteralCategory
-from repro.literal.voting import char_edit_distance
 from repro.metrics.cdf import Cdf
 from repro.metrics.report import format_table
+from repro.phonetics.levenshtein import char_edit_distance
 from repro.phonetics.metaphone import metaphone
 from repro.structure.masking import preprocess_transcription
 

@@ -1,4 +1,4 @@
-"""Literal-voting layer benchmark: bit-parallel memoized kernel vs DP oracle.
+"""Literal-voting layer benchmark: production row vote vs per-pair oracle.
 
 Dictates N seeded Employees test queries (n-best 5, runner-up
 structures included) through the full pipeline once, recording every
@@ -9,14 +9,16 @@ dictation records the votes of its own distinct placeholder windows
 whatever ran before it.  The recorded calls are then replayed, in
 interleaved repeats, three ways:
 
-- ``oracle`` — the full-table DP of ``tests/literal/oracle.py``
-  patched into :mod:`repro.literal.voting` (the previous production
-  path);
-- ``kernel`` — the production bit-parallel kernel with its memo
-  cleared before every query, so only one query's own re-scorings
-  (n-best alternatives, both walks, runner-up structures) hit it;
-- ``kernel_warm`` — the kernel with the memo cleared once per repeat,
-  as in a long-lived daemon that has seen the earlier queries.
+- ``oracle`` — the per-pair vote of ``tests/literal/oracle.py``: every
+  (segment, candidate) distance computed on its own by the full-table
+  DP;
+- ``kernel`` — the production vote (distance rows from the packed
+  bit-parallel kernel) with its row cache cleared before every query,
+  so only one query's own re-scorings (n-best alternatives, both walks,
+  runner-up structures) hit it;
+- ``kernel_warm`` — the production vote with the row cache cleared
+  once per repeat, as in a long-lived daemon that has seen the earlier
+  queries.
 
 Every replayed call must return an identical ``VoteOutcome`` on all
 three sides, else the run aborts: a speedup can never come from a
@@ -50,8 +52,7 @@ from repro.core import SpeakQL, SpeakQLArtifacts  # noqa: E402
 from repro.dataset import build_employees_catalog  # noqa: E402
 from repro.dataset.spoken import make_spoken_dataset  # noqa: E402
 from repro.literal import determiner, voting  # noqa: E402
-from repro.phonetics.levenshtein import char_edit_distance  # noqa: E402
-from tests.literal.oracle import char_edit_distance as oracle_distance  # noqa: E402
+from tests.literal import oracle  # noqa: E402
 
 SIDES = ("oracle", "kernel", "kernel_warm")
 # As the repository benchmark's dictate workload: n-best 5 dictations of
@@ -97,46 +98,60 @@ def record_calls(args: argparse.Namespace) -> list[list[tuple]]:
 
 def replay(per_query: list[list[tuple]], side: str) -> tuple[list[float], list]:
     """Per-query replay seconds and every outcome, for one side."""
-    voting.char_edit_distance = (
-        oracle_distance if side == "oracle" else char_edit_distance
-    )
-    char_edit_distance.cache_clear()
+    if side == "oracle":
+        calls = [
+            [(getattr(oracle, func.__name__), a, kw) for func, a, kw in query]
+            for query in per_query
+        ]
+    else:
+        calls = per_query
+    voting.segment_rows.cache_clear()
     clock = time.perf_counter
     seconds: list[float] = []
     outcomes: list = []
-    try:
-        for calls in per_query:
-            if side == "kernel":
-                char_edit_distance.cache_clear()
-            start = clock()
-            results = [func(*a, **kw) for func, a, kw in calls]
-            seconds.append(clock() - start)
-            outcomes.extend(results)
-    finally:
-        voting.char_edit_distance = char_edit_distance
+    for query in calls:
+        if side == "kernel":
+            voting.segment_rows.cache_clear()
+        start = clock()
+        results = [func(*a, **kw) for func, a, kw in query]
+        seconds.append(clock() - start)
+        outcomes.extend(results)
     return seconds, outcomes
 
 
-def distance_calls(per_query: list[list[tuple]]) -> tuple[int, int]:
-    """(distance calls, distinct pairs) per query, as medians."""
-    pairs: list[tuple[str, str]] = []
+def work_per_query(per_query: list[list[tuple]]) -> dict[str, int]:
+    """Medians per query: (segment, candidate) pairs the oracle scores
+    one by one, row-cache lookups of the production vote, and the
+    distinct rows among them (its misses from a cold cache)."""
+    pairs = 0
+    distance = oracle.char_edit_distance
 
     def counted(a: str, b: str) -> int:
-        pairs.append((a, b))
-        return oracle_distance(a, b)
+        nonlocal pairs
+        pairs += 1
+        return distance(a, b)
 
-    totals, distinct = [], []
-    voting.char_edit_distance = counted
+    per_pair, lookups, distinct = [], [], []
+    oracle.char_edit_distance = counted
     try:
-        for calls in per_query:
-            pairs.clear()
-            for func, a, kw in calls:
+        for query in per_query:
+            pairs = 0
+            for func, a, kw in query:
+                getattr(oracle, func.__name__)(*a, **kw)
+            per_pair.append(pairs)
+            voting.segment_rows.cache_clear()
+            for func, a, kw in query:
                 func(*a, **kw)
-            totals.append(len(pairs))
-            distinct.append(len(set(pairs)))
+            info = voting.segment_rows.cache_info()
+            lookups.append(info.hits + info.misses)
+            distinct.append(info.misses)
     finally:
-        voting.char_edit_distance = char_edit_distance
-    return int(statistics.median(totals)), int(statistics.median(distinct))
+        oracle.char_edit_distance = distance
+    return {
+        "oracle_pairs_p50": int(statistics.median(per_pair)),
+        "row_lookups_p50": int(statistics.median(lookups)),
+        "distinct_rows_p50": int(statistics.median(distinct)),
+    }
 
 
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
@@ -150,7 +165,7 @@ def run(args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     per_query = record_calls(args)
     record_s = time.perf_counter() - t0
-    total_calls, distinct_pairs = distance_calls(per_query)
+    work = work_per_query(per_query)
 
     # Per side: the mean per-query replay time of each repeat, and every
     # per-query time pooled over repeats.
@@ -195,8 +210,7 @@ def run(args: argparse.Namespace) -> dict:
         "split_seed": SPLIT_SEED,
         "nproc": os.cpu_count(),
         "vote_calls": sum(len(calls) for calls in per_query),
-        "distance_calls_p50": total_calls,
-        "distinct_pairs_p50": distinct_pairs,
+        **work,
         "identical_outcomes": True,
         "speedup": by_side["kernel"]["speedup_vs_oracle"],
         "record_s": record_s,
@@ -225,8 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     for row in report["rows"]:
         print(f"{row['side']:>12}: {row['median_ms']:8.2f} ms/query "
               f"(IQR {row['iqr_ms']:.2f}), {row['speedup_vs_oracle']:.1f}x")
-    print(f"distance calls/query p50 {report['distance_calls_p50']}, "
-          f"distinct pairs p50 {report['distinct_pairs_p50']}; "
+    print(f"per query p50: {report['oracle_pairs_p50']} oracle pairs, "
+          f"{report['row_lookups_p50']} row lookups, "
+          f"{report['distinct_rows_p50']} distinct rows; "
           f"outcomes identical; wrote {args.out}")
     if args.min_speedup is not None and report["speedup"] < args.min_speedup:
         print(f"FAIL: speedup {report['speedup']:.2f}x < "

@@ -30,7 +30,7 @@ from repro.grammar.vocabulary import (
     is_keyword,
     tokenize_sql,
 )
-from repro.literal.voting import char_edit_distance
+from repro.phonetics.levenshtein import char_edit_distance
 
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)?$")
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")

@@ -9,6 +9,11 @@ counts) are recovered directly from the window instead of voting.
 Attribute candidates are narrowed to the chosen FROM tables via a
 two-pass walk: pass one resolves table placeholders, pass two resolves
 everything with the narrowed candidate sets.
+
+A placeholder's resolution depends on its window's tokens, not on where
+the window sits, so each determiner memoizes resolutions relative to the
+window's first token and places them on every use: a window shared by
+n-best ranks, both walks and runner-up structures is voted once.
 """
 
 from __future__ import annotations
@@ -35,7 +40,11 @@ from repro.literal.voting import literal_assignment, score_assignment
 from repro.observability.forensics import PlaceholderTrace
 from repro.observability.trace import NULL_TRACER, Tracer
 from repro.structure.masking import mask_literals
-from repro.phonetics.phonetic_index import PhoneticIndex
+from repro.phonetics.phonetic_index import (
+    POOL_CACHE_SIZE,
+    CandidatePool,
+    PhoneticIndex,
+)
 from repro.sqlengine.catalog import Catalog
 
 #: Pipeline stage name of literal determination (re-exported by
@@ -117,12 +126,12 @@ class LiteralDeterminer:
     """Binds placeholders of a structure to database literals.
 
     Each placeholder resolution is memoized (bounded LRU, thread-safe)
-    on every input it depends on, so a window that n-best ranks, both
-    walks and runner-up structures share is voted once per determiner,
-    not once per use.  The memo is exact: a hit returns the same
-    :class:`FilledLiteral` and rebuilds the same forensic trace a fresh
-    vote would.  :meth:`cache_info` / :meth:`cache_clear` expose it like
-    ``functools.lru_cache``.
+    on every input the vote reads, wherever its window sits, so a
+    window that n-best ranks, both walks and runner-up structures share
+    is voted once per determiner, not once per use.  The memo is exact:
+    a hit returns an equal :class:`FilledLiteral` and rebuilds the same
+    forensic trace a fresh vote would.  :meth:`cache_info` /
+    :meth:`cache_clear` expose it like ``functools.lru_cache``.
     """
 
     catalog: Catalog
@@ -152,6 +161,9 @@ class LiteralDeterminer:
     )
     _memo_hits: int = field(default=0, init=False, repr=False, compare=False)
     _memo_misses: int = field(default=0, init=False, repr=False, compare=False)
+    _numeric_pools: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.index is None:
@@ -319,15 +331,21 @@ class LiteralDeterminer:
         """Resolve one placeholder through the memo; append its forensic
         trace when ``trace`` is a list.
 
-        The key holds every input the resolution reads: the window's
-        tokens and bounds, the placeholder index (it lands on the
-        literal), category, value type, narrowed tables, the numeric
-        restriction, and the determiner settings that shape the vote.
+        A resolution reads only the window's tokens, never where the
+        window sits: it is voted relative to position 0, and each use
+        stamps ``idx`` on the literal and shifts its window by
+        ``begin``.  The key holds every input the vote reads: the
+        window's tokens, category, value type, the determiner settings
+        that shape the vote and, for ATTRIBUTE slots only, the narrowed
+        tables and the numeric restriction (no other category reads
+        them).
         """
         window_tokens = tuple(tokens[begin:end])
+        attribute = category is LiteralCategory.ATTRIBUTE
         key = (
-            window_tokens, begin, end, idx, category, value_type,
-            None if tables is None else tuple(tables), numeric_only,
+            window_tokens, category, value_type,
+            tuple(tables) if attribute and tables is not None else None,
+            attribute and numeric_only,
             self.window_size, self.window_strategy, self.top_k,
         )
         memo = self._memo
@@ -340,7 +358,7 @@ class LiteralDeterminer:
                 self._memo_misses += 1
         if resolution is None:
             resolution = self._vote_placeholder(
-                tokens, begin, end, idx, category, value_type, tables,
+                list(window_tokens), category, value_type, tables,
                 numeric_only,
             )
             with self._memo_lock:
@@ -348,7 +366,16 @@ class LiteralDeterminer:
                 memo.move_to_end(key)
                 while len(memo) > PLACEHOLDER_MEMO_SIZE:
                     memo.popitem(last=False)
-        literal = resolution.literal
+        relative = resolution.literal
+        first, last = relative.window
+        literal = FilledLiteral(
+            index=idx,
+            category=category,
+            text=relative.text,
+            candidates=relative.candidates,
+            window=(first + begin, last + begin),
+            value_type=relative.value_type,
+        )
         if trace is not None:
             trace.append(
                 PlaceholderTrace(
@@ -368,19 +395,19 @@ class LiteralDeterminer:
 
     def _vote_placeholder(
         self,
-        tokens: list[str],
-        begin: int,
-        end: int,
-        idx: int,
+        window_tokens: list[str],
         category: LiteralCategory,
         value_type: str | None,
         tables: list[str] | None,
         numeric_only: bool,
     ) -> _Resolution:
-        """Resolve one placeholder from scratch (Box 3's vote, or a typed
-        recovery), with the vote summary its forensic trace needs."""
+        """Resolve one window from scratch (Box 3's vote, or a typed
+        recovery), with the vote summary its forensic trace needs.
+
+        Positions are relative to the window's first token and the
+        literal's ``index`` is 0; :meth:`_resolve_placeholder` places
+        it."""
         assert self.index is not None
-        window_tokens = tokens[begin:end]
 
         def resolved(
             literal: FilledLiteral, outcome=None, pool: int = 0,
@@ -392,10 +419,10 @@ class LiteralDeterminer:
             votes = tuple((lit, outcome.votes.get(lit, 0)) for lit in ranking)
             return _Resolution(literal, ranking, votes, pool, typed)
 
+        # An empty window consumes nothing, any other at least a token.
+        fallback_window = (0, 1 if window_tokens else 0)
         if category is LiteralCategory.VALUE:
-            typed = self._resolve_typed_value(
-                window_tokens, begin, idx, value_type
-            )
+            typed = self._resolve_typed_value(window_tokens, value_type)
             if typed is not None:
                 return resolved(typed, typed=True)
             if value_type in ("int", "float"):
@@ -407,43 +434,34 @@ class LiteralDeterminer:
                 )
                 return resolved(
                     FilledLiteral(
-                        index=idx,
+                        index=0,
                         category=category,
                         text=fallback,
                         candidates=(fallback,),
-                        window=(begin, begin + 1 if window_tokens else begin),
+                        window=fallback_window,
                         value_type=value_type,
                     ),
                     typed=True,
                 )
 
-        segments = enumerate_strings(tokens, begin, end, self.window_size)
+        width = len(window_tokens)
+        segments = enumerate_strings(window_tokens, 0, width, self.window_size)
         candidates = self.index.candidates(category, tables)
         if numeric_only and category is LiteralCategory.ATTRIBUTE:
-            numeric = [
-                entry
-                for entry in candidates
-                if self._column_types.get(entry.literal.lower())
-                in ("int", "float")
-            ]
-            if numeric:
-                candidates = numeric
+            candidates = self._numeric_pool(candidates)
         if self.window_strategy == "aligned":
-            outcome = score_assignment(
-                segments, candidates, window_width=end - begin
-            )
+            outcome = score_assignment(segments, candidates, window_width=width)
         else:
-            outcome = literal_assignment(segments, candidates, anchor=begin)
+            outcome = literal_assignment(segments, candidates, anchor=0)
         winner = outcome.winner
         if winner is not None and segments:
-            consumed = outcome.location + 1 if outcome.location >= begin else begin + 1
             return resolved(
                 FilledLiteral(
-                    index=idx,
+                    index=0,
                     category=category,
                     text=winner.literal,
                     candidates=tuple(outcome.top(self.top_k)),
-                    window=(begin, consumed),
+                    window=(0, max(outcome.location, 0) + 1),
                     value_type=value_type,
                 ),
                 outcome=outcome,
@@ -457,36 +475,56 @@ class LiteralDeterminer:
             raw = min(candidates, key=lambda e: e.literal.lower()).literal
         return resolved(
             FilledLiteral(
-                index=idx,
+                index=0,
                 category=category,
                 text=raw,
                 candidates=(raw,) if raw else (),
-                window=(begin, begin + 1 if window_tokens else begin),
+                window=fallback_window,
                 value_type=value_type,
             ),
             outcome=outcome if candidates else None,
             pool=len(candidates),
         )
 
+    def _numeric_pool(self, pool: CandidatePool) -> CandidatePool:
+        """``pool`` narrowed to numeric columns (the whole pool when it
+        has none), built once per pool."""
+        numeric = self._numeric_pools.get(pool)
+        if numeric is None:
+            entries = [
+                entry
+                for entry in pool
+                if self._column_types.get(entry.literal.lower())
+                in ("int", "float")
+            ]
+            numeric = CandidatePool.of(entries) if entries else pool
+            if len(self._numeric_pools) >= POOL_CACHE_SIZE:
+                self._numeric_pools.clear()
+            self._numeric_pools[pool] = numeric
+        return numeric
+
     def _resolve_typed_value(
-        self,
-        window_tokens: list[str],
-        begin: int,
-        idx: int,
-        value_type: str | None,
+        self, window_tokens: list[str], value_type: str | None
     ) -> FilledLiteral | None:
+        """A number or date recovered from the window (positions relative
+        to its first token, ``index`` 0), or None to vote instead."""
+
+        def value(text: str, consumed: int, kind: str | None) -> FilledLiteral:
+            return FilledLiteral(
+                index=0,
+                category=LiteralCategory.VALUE,
+                text=text,
+                candidates=(text,),
+                window=(0, consumed),
+                value_type=kind,
+            )
+
         if value_type in ("int", "float"):
             recovered = recover_value(window_tokens, value_type)
             if recovered is None:
                 return None
-            consumed = self._numeric_span(window_tokens)
-            return FilledLiteral(
-                index=idx,
-                category=LiteralCategory.VALUE,
-                text=recovered,
-                candidates=(recovered,),
-                window=(begin, begin + consumed),
-                value_type=value_type,
+            return value(
+                recovered, self._numeric_span(window_tokens), value_type
             )
         if value_type == "date":
             date = recover_date(window_tokens)
@@ -495,44 +533,17 @@ class LiteralDeterminer:
                 if consumed == 0:
                     return None
                 raw = " ".join(window_tokens[:consumed])
-                return FilledLiteral(
-                    index=idx,
-                    category=LiteralCategory.VALUE,
-                    text=raw,
-                    candidates=(raw,),
-                    window=(begin, begin + consumed),
-                    value_type=value_type,
-                )
-            return FilledLiteral(
-                index=idx,
-                category=LiteralCategory.VALUE,
-                text=date.isoformat(),
-                candidates=(date.isoformat(),),
-                window=(begin, begin + max(consumed, 1)),
-                value_type=value_type,
-            )
+                return value(raw, consumed, value_type)
+            return value(date.isoformat(), max(consumed, 1), value_type)
         # Unknown type: numbers and intact dates are still recovered.
         if window_tokens and is_number_token(window_tokens[0]):
             recovered = recover_value(window_tokens, "int")
             if recovered is not None:
-                consumed = self._numeric_span(window_tokens)
-                return FilledLiteral(
-                    index=idx,
-                    category=LiteralCategory.VALUE,
-                    text=recovered,
-                    candidates=(recovered,),
-                    window=(begin, begin + consumed),
-                    value_type="int",
+                return value(
+                    recovered, self._numeric_span(window_tokens), "int"
                 )
         if window_tokens and _looks_like_iso_date(window_tokens[0]):
-            return FilledLiteral(
-                index=idx,
-                category=LiteralCategory.VALUE,
-                text=window_tokens[0],
-                candidates=(window_tokens[0],),
-                window=(begin, begin + 1),
-                value_type="date",
-            )
+            return value(window_tokens[0], 1, "date")
         return None
 
     @staticmethod

@@ -5,18 +5,30 @@ what was spoken for a placeholder, we enumerate every concatenation of
 up to ``window_size`` consecutive literal tokens inside the placeholder's
 window and encode each phonetically.  For the window ``first name`` the
 enumerated set A is {first, name, firstname} — exactly the paper's
-Figure 4 example.
+Figure 4 example.  A segment's phrase is encoded once: the same phrases
+recur across windows, walks and queries, so codes are memoized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.grammar.vocabulary import is_keyword, is_splchar
 from repro.phonetics.metaphone import metaphone
 
 #: Default maximum number of sub-tokens merged into one candidate.
 DEFAULT_WINDOW_SIZE = 4
+
+#: Entries kept by the segment-code memo (least recently used first
+#: out); a dictation encodes a few dozen phrases, most seen before.
+SEGMENT_CODE_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=SEGMENT_CODE_CACHE_SIZE)
+def segment_code(phrase: str) -> str:
+    """Metaphone code of a segment's space-joined sub-tokens."""
+    return metaphone(phrase)
 
 
 @dataclass(frozen=True)
@@ -65,7 +77,7 @@ def enumerate_strings(
     begin: int,
     end: int,
     window_size: int = DEFAULT_WINDOW_SIZE,
-    encoder=metaphone,
+    encoder=segment_code,
 ) -> list[Segment]:
     """Enumerate candidate concatenations inside ``[begin, end)``.
 

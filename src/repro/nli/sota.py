@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from repro.literal.voting import char_edit_distance
+from repro.phonetics.levenshtein import char_edit_distance
 from repro.sqlengine.catalog import Catalog
 
 _AGG_CUES = [

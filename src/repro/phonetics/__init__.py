@@ -19,7 +19,11 @@ from repro.phonetics.metaphone import metaphone
 from repro.phonetics.soundex import soundex
 from repro.phonetics.nysiis import nysiis
 from repro.phonetics.dmetaphone import double_metaphone, dmetaphone_primary
-from repro.phonetics.phonetic_index import PhoneticEntry, PhoneticIndex
+from repro.phonetics.phonetic_index import (
+    CandidatePool,
+    PhoneticEntry,
+    PhoneticIndex,
+)
 
 __all__ = [
     "metaphone",
@@ -27,6 +31,7 @@ __all__ = [
     "nysiis",
     "double_metaphone",
     "dmetaphone_primary",
+    "CandidatePool",
     "PhoneticEntry",
     "PhoneticIndex",
 ]

@@ -3,15 +3,17 @@
 Indexes table names, attribute names, and *string* attribute values
 (excluding numbers and dates, as in the paper) by their Metaphone code.
 The literal determination component retrieves the candidate set ``B`` for
-a placeholder's category from this index.
+a placeholder's category from this index, as one cached, immutable
+:class:`CandidatePool` per (category, narrowing tables).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.grammar.categorizer import LiteralCategory
+from repro.phonetics.levenshtein import PackedTexts
 from repro.phonetics.metaphone import metaphone
 from repro.sqlengine.catalog import Catalog
 
@@ -22,6 +24,52 @@ class PhoneticEntry:
 
     literal: str
     code: str
+
+
+#: Candidate pools kept per index: one per category plus one per
+#: distinct tuple of narrowing tables; past this many the cache starts
+#: over.
+POOL_CACHE_SIZE = 256
+
+
+@dataclass(frozen=True, eq=False)
+class CandidatePool:
+    """An immutable candidate set ``B``, compared and hashed by identity.
+
+    Holds the entries in index order and, column by column, the strings
+    literal voting scores a segment against: each entry's literal, its
+    phonetic code and its lowercased literal, with the codes and the
+    lowercased literals also packed for the row kernel.  Identity
+    hashing makes a pool a cheap cache key for distance rows.  Iterating
+    or sizing a pool iterates or sizes its entries.
+    """
+
+    entries: tuple[PhoneticEntry, ...]
+    literals: tuple[str, ...]
+    codes: tuple[str, ...]
+    lowered: tuple[str, ...]
+    packed_codes: PackedTexts
+    packed_lowered: PackedTexts
+
+    @classmethod
+    def of(cls, entries: Iterable[PhoneticEntry]) -> "CandidatePool":
+        entries = tuple(entries)
+        codes = tuple(entry.code for entry in entries)
+        lowered = tuple(entry.literal.lower() for entry in entries)
+        return cls(
+            entries,
+            tuple(entry.literal for entry in entries),
+            codes,
+            lowered,
+            PackedTexts(codes),
+            PackedTexts(lowered),
+        )
+
+    def __iter__(self) -> Iterator[PhoneticEntry]:
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
 
 @dataclass
@@ -45,6 +93,9 @@ class PhoneticIndex:
     _values: list[PhoneticEntry] = field(default_factory=list, repr=False)
     _attributes_by_table: dict[str, list[PhoneticEntry]] = field(
         default_factory=dict, repr=False
+    )
+    _pools: dict[tuple, CandidatePool] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @classmethod
@@ -77,15 +128,34 @@ class PhoneticIndex:
 
     def candidates(
         self, category: LiteralCategory, tables: Iterable[str] | None = None
-    ) -> list[PhoneticEntry]:
+    ) -> CandidatePool:
         """The set ``B`` of relevant literals for a placeholder category.
 
         When ``tables`` is given for ATTRIBUTE lookups, only attributes of
         those tables are returned — the paper narrows attribute candidates
-        once the FROM tables are known.
+        once the FROM tables are known.  Other categories ignore
+        ``tables``.  Each (category, tables) pool is built once and
+        shared by every later call.
         """
+        narrowing = (
+            tuple(tables)
+            if tables and category is LiteralCategory.ATTRIBUTE
+            else None
+        )
+        key = (category, narrowing)
+        pool = self._pools.get(key)
+        if pool is None:
+            pool = CandidatePool.of(self._select(category, narrowing))
+            if len(self._pools) >= POOL_CACHE_SIZE:
+                self._pools.clear()
+            self._pools[key] = pool
+        return pool
+
+    def _select(
+        self, category: LiteralCategory, tables: tuple[str, ...] | None
+    ) -> list[PhoneticEntry]:
         if category is LiteralCategory.TABLE:
-            return list(self._tables)
+            return self._tables
         if category is LiteralCategory.ATTRIBUTE:
             if tables:
                 out: list[PhoneticEntry] = []
@@ -97,8 +167,8 @@ class PhoneticIndex:
                             out.append(entry)
                 if out:
                     return out
-            return list(self._attributes)
-        return list(self._values)
+            return self._attributes
+        return self._values
 
     @property
     def table_entries(self) -> list[PhoneticEntry]:

@@ -343,3 +343,105 @@ class TestPlaceholderMemo:
         # Every lookup was counted: no lost update on the counters.
         info = shared.cache_info()
         assert info.hits + info.misses == 4 * 5 * lookups
+
+
+def resolve(det, tokens, begin, idx, category, value_type=None,
+            tables=None, numeric_only=False):
+    """``(literal, forensic trace as JSON)`` of one placeholder resolved
+    over the literal window starting at ``begin``."""
+    end = begin
+    while end < len(tokens) and tokens[end] != "|":
+        end += 1
+    trace: list = []
+    literal = det._resolve_placeholder(
+        tokens, begin, end, idx, category, value_type, tables,
+        numeric_only=numeric_only, trace=trace,
+    )
+    return literal, json.dumps([t.to_dict() for t in trace])
+
+
+#: (window tokens, category, value type, narrowing tables, numeric-only)
+WINDOWS = [
+    (["first", "name", "wear"], LiteralCategory.ATTRIBUTE, None, None, False),
+    (["hire", "date"], LiteralCategory.ATTRIBUTE, None, ["Salaries"], False),
+    (["celeries"], LiteralCategory.TABLE, None, None, False),
+    (["karsten"], LiteralCategory.VALUE, None, None, False),
+    (["45000", "310"], LiteralCategory.VALUE, "int", None, False),
+    (["january", "5", "1990"], LiteralCategory.VALUE, "date", None, False),
+    (["salary", "to"], LiteralCategory.ATTRIBUTE, None, None, True),
+    ([], LiteralCategory.ATTRIBUTE, None, None, False),
+]
+
+
+class TestPositionFreeMemo:
+    """A resolution depends on the window's tokens, not on where the
+    window sits: the memo is shared across offsets and placeholder
+    indices, and each use is placed where it is used."""
+
+    @pytest.mark.parametrize(
+        "window,category,value_type,tables,numeric_only", WINDOWS,
+        ids=["attribute", "narrowed", "table", "value", "int", "date",
+             "numeric-arg", "empty"],
+    )
+    def test_one_window_at_two_offsets(
+        self, small_catalog, window, category, value_type, tables,
+        numeric_only,
+    ):
+        det = LiteralDeterminer(small_catalog)
+        placements = [(["|"] + window + ["|"], 1, 0),
+                      (["|"] * 6 + window + ["|", "x"], 6, 3)]
+        for tokens, begin, idx in placements:
+            got = resolve(det, tokens, begin, idx, category, value_type,
+                          tables, numeric_only)
+            fresh = resolve(LiteralDeterminer(small_catalog), tokens, begin,
+                            idx, category, value_type, tables, numeric_only)
+            assert got == fresh
+            assert got[0].index == idx
+            assert got[0].window[0] == begin
+        # The second placement was voted by nobody: a memo hit.
+        assert det.cache_info().misses == 1
+        assert det.cache_info().hits == 1
+
+    def test_narrowing_tables_are_part_of_an_attribute_key(
+        self, small_catalog
+    ):
+        det = LiteralDeterminer(small_catalog)
+        tokens = ["hire", "date"]
+        wide = resolve(det, tokens, 0, 0, LiteralCategory.ATTRIBUTE)
+        narrow = resolve(det, tokens, 0, 0, LiteralCategory.ATTRIBUTE,
+                         tables=["Salaries"])
+        assert wide[0].text == "HireDate"
+        assert narrow == resolve(
+            LiteralDeterminer(small_catalog), tokens, 0, 0,
+            LiteralCategory.ATTRIBUTE, tables=["Salaries"],
+        )
+        assert narrow[0].text != wide[0].text
+
+    def test_walk_two_hits_for_table_and_value_slots(self, small_catalog):
+        det = LiteralDeterminer(small_catalog)
+        voted: list[LiteralCategory] = []
+        original = det._vote_placeholder
+
+        def spy(window_tokens, category, *args):
+            voted.append(category)
+            return original(window_tokens, category, *args)
+
+        det._vote_placeholder = spy
+        record = QueryRecord(mode="transcription", input_text=RUNNING_TEXT)
+        source = list(preprocess_transcription(RUNNING_TEXT).source)
+        result = det.determine(source, RUNNING_STRUCTURE, record=record)
+        A, T, V = (LiteralCategory.ATTRIBUTE, LiteralCategory.TABLE,
+                   LiteralCategory.VALUE)
+        # Walk 1 votes all four slots; walk 2 votes only the attributes,
+        # whose candidates it narrows to the FROM table.
+        assert voted == [A, T, A, V, A, A]
+        assert det.cache_info().hits == 2
+        fresh_record = QueryRecord(mode="transcription",
+                                   input_text=RUNNING_TEXT)
+        fresh = LiteralDeterminer(small_catalog).determine(
+            source, RUNNING_STRUCTURE, record=fresh_record
+        )
+        assert result == fresh
+        assert [t.to_dict() for t in record.placeholders] == [
+            t.to_dict() for t in fresh_record.placeholders
+        ]

@@ -65,3 +65,14 @@ class TestCandidates:
         index = PhoneticIndex.from_catalog(small_catalog)
         cands = index.candidates(LiteralCategory.VALUE)
         assert {e.literal for e in cands} >= {"Karsten", "Goh", "Perla"}
+
+    def test_pools_are_built_once_per_category_and_tables(self, small_catalog):
+        index = PhoneticIndex.from_catalog(small_catalog)
+        narrowed = index.candidates(LiteralCategory.ATTRIBUTE, ["Salaries"])
+        assert index.candidates(LiteralCategory.ATTRIBUTE, ("Salaries",)) is narrowed
+        assert index.candidates(LiteralCategory.ATTRIBUTE) is not narrowed
+        # Only attribute lookups read the tables.
+        tables = index.candidates(LiteralCategory.TABLE)
+        assert index.candidates(LiteralCategory.TABLE, ["Salaries"]) is tables
+        assert narrowed.codes == tuple(e.code for e in narrowed)
+        assert narrowed.lowered == tuple(e.literal.lower() for e in narrowed)

@@ -56,11 +56,22 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: Whole-smoke watchdog; the daemon is killed when it expires.
 TIMEOUT_S = 180.0
 
+#: The 1 ms-deadline probe: a long dictation under a seed no other
+#: request uses, so no cache (placeholder memo, distance rows, search
+#: results) holds any of its work and it cannot finish inside the
+#: budget.
+TIMEOUT_PROBE = {
+    "text": "SELECT LastName , FirstName , HireDate FROM Employees "
+            "WHERE Gender = 'F' AND FirstName = 'Karsten' "
+            "ORDER BY HireDate LIMIT 25",
+    "seed": 4242,
+    "deadline_ms": 1,
+}
+
 REQUESTS = [
     {"id": 1, "text": "select salary from salaries"},
     {"id": 2, "text": "SELECT FirstName FROM Employees", "seed": 7},
-    {"id": 3, "text": "SELECT FirstName FROM Employees", "seed": 7,
-     "deadline_ms": 1},
+    {"id": 3, **TIMEOUT_PROBE},
 ]
 
 #: The two-turn session exchange: cold dictation, WHERE re-dictation,
@@ -244,12 +255,12 @@ def run_tcp_smoke(env: dict) -> int:
 
         # A 1 ms budget is consumed before the pipeline can finish: the
         # runtime must time out.
-        clients[0].send({"id": "t1",
-                         "text": "SELECT FirstName FROM Employees",
-                         "seed": 7, "deadline_ms": 1})
+        clients[0].send({"id": "t1", **TIMEOUT_PROBE})
         timed_out = clients[0].read()
         if timed_out.get("outcome") != "timeout":
             fail(f"1 ms deadline did not time out: {timed_out}")
+        if "deadline exceeded" not in (timed_out.get("error") or ""):
+            fail(f"timeout carries no deadline error: {timed_out}")
 
         # An oversized frame (beyond the 1 MiB default) draws a
         # structured error and the connection keeps serving.
