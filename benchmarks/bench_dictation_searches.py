@@ -14,8 +14,13 @@ repeats, two ways:
 Every dictation's output (query list, structure, literal result) must be
 identical on both sides, and the cached side must never run more kernel
 searches in a dictation than the dictation has distinct masked texts;
-otherwise the run aborts.  Per side it reports kernel searches per
-dictation, the kernel's ``nodes_visited`` per dictation (work done, not
+otherwise the run aborts.  The n-best alternatives' searches start from
+the rank-0 top-k (``near``); after each timed dictation every such
+near-seeded kernel search is re-run unseeded through
+``_search_uncached``, and the run aborts unless results, distances,
+order and ``tries_*`` are identical.  Per side it reports kernel
+searches per dictation and how many of them were near-seeded, the
+kernel's ``nodes_visited`` per dictation (work done, not
 milliseconds), structure-search milliseconds per dictation (time inside
 ``StructureSearchEngine.search``, cache hits included), the literal
 determiner's placeholder-memo hit ratio, the share of dictation wall
@@ -26,9 +31,9 @@ and the spread (IQR) of the per-repeat medians.  The run exits 1 when a
 side's stage timings cover less than ``MIN_COVERAGE`` (0.95) of its
 dictation wall time: time outside every stage is time no stage
 span or ``speakql_stage_seconds`` series can show.  Each repeat
-starts both sides from an empty result cache, placeholder memo,
-distance-row cache and segment-code memo; within a repeat they stay
-warm across dictations, as in a daemon.
+starts both sides from an empty result cache, ASR snap memo,
+placeholder memo, distance-row cache and segment-code memo; within a
+repeat they stay warm across dictations, as in a daemon.
 
 Run as a script::
 
@@ -65,37 +70,63 @@ MIN_COVERAGE = 0.95
 
 class SearchProbe:
     """Counts kernel searches and their nodes, and times search calls,
-    of one pipeline."""
+    of one pipeline; keeps each near-seeded kernel search for an
+    unseeded replay (:meth:`verify_seeded`)."""
 
     def __init__(self, speakql: SpeakQL) -> None:
         self.kernel_searches = 0
         self.nodes_visited = 0
         self.search_seconds = 0.0
+        self.seeded: list[tuple] = []
         engine = speakql._searcher
         search, uncached = engine.search, engine._search_uncached
+        self._uncached = uncached
         clock = time.perf_counter
 
-        def timed_search(masked, k=1):
+        def timed_search(masked, k=1, near=()):
             start = clock()
             try:
-                return search(masked, k=k)
+                return search(masked, k=k, near=near)
             finally:
                 self.search_seconds += clock() - start
 
-        def counted_uncached(masked, k):
+        def counted_uncached(masked, k, near=()):
             self.kernel_searches += 1
-            results, stats = uncached(masked, k)
+            results, stats = uncached(masked, k, near)
             self.nodes_visited += stats.nodes_visited
+            if stats.near_seeds:
+                self.seeded.append((masked, k, results, stats))
             return results, stats
 
         engine.search = timed_search
         engine._search_uncached = counted_uncached
 
-    def take(self) -> tuple[int, int, float]:
-        sample = (self.kernel_searches, self.nodes_visited, self.search_seconds)
+    def take(self) -> tuple[int, int, int, float]:
+        """Kernel searches, near-seeded ones, nodes and search seconds
+        since the last call (call before :meth:`verify_seeded`)."""
+        sample = (self.kernel_searches, len(self.seeded), self.nodes_visited,
+                  self.search_seconds)
         self.kernel_searches, self.nodes_visited = 0, 0
         self.search_seconds = 0.0
         return sample
+
+    def verify_seeded(self) -> int:
+        """Re-run every near-seeded search since the last call without
+        its seed; raise unless results (structures, distances, order)
+        and ``tries_*`` are identical.  Returns how many were checked.
+        Runs outside the timed dictation."""
+        for masked, k, results, stats in self.seeded:
+            plain, plain_stats = self._uncached(masked, k)
+            if plain != results or (
+                plain_stats.tries_searched, plain_stats.tries_skipped
+            ) != (stats.tries_searched, stats.tries_skipped):
+                raise AssertionError(
+                    f"near-seeded search of {masked} (k={k}) differs from "
+                    "the unseeded search"
+                )
+        checked = len(self.seeded)
+        self.seeded.clear()
+        return checked
 
 
 def build(args: argparse.Namespace):
@@ -176,6 +207,8 @@ def run(args: argparse.Namespace) -> dict:
     latency_ms = {side: [] for side in SIDES}
     repeat_p50_ms = {side: [] for side in SIDES}
     searches = {side: [] for side in SIDES}
+    seeded = {side: [] for side in SIDES}
+    verified = 0
     nodes = {side: [] for side in SIDES}
     search_ms = {side: [] for side in SIDES}
     # Placeholder-memo (hits, lookups) and (stage seconds, wall seconds).
@@ -191,6 +224,7 @@ def run(args: argparse.Namespace) -> dict:
             speakql, probe = pipelines[side], probes[side]
             determiner = speakql._determiner
             speakql._searcher._cache.clear()
+            speakql.engine._snap_memo.clear()
             determiner.cache_clear()
             segment_rows.cache_clear()
             segment_code.cache_clear()
@@ -210,7 +244,8 @@ def run(args: argparse.Namespace) -> dict:
                 covered[side][0] += output.timings.total_seconds
                 covered[side][1] += elapsed
                 stage_timings[side].append(output.timings.stages)
-                count, visited, seconds = probe.take()
+                count, near, visited, seconds = probe.take()
+                verified += probe.verify_seeded()
                 if reference is None:
                     distinct.append(distinct_masked(speakql, output))
                 if side == "cached" and count > distinct[len(answers)]:
@@ -221,6 +256,7 @@ def run(args: argparse.Namespace) -> dict:
                 answers.append(answer(output))
                 this_repeat.append(elapsed_ms)
                 searches[side].append(count)
+                seeded[side].append(near)
                 nodes[side].append(visited)
                 search_ms[side].append(1000 * seconds)
             if reference is None:
@@ -242,6 +278,7 @@ def run(args: argparse.Namespace) -> dict:
             "iqr_ms": q3 - q1,
             "repeat_p50_ms": repeat_p50_ms[side],
             "searches_per_dictation": statistics.fmean(searches[side]),
+            "near_seeds_per_dictation": statistics.fmean(seeded[side]),
             "nodes_visited_per_dictation": statistics.fmean(nodes[side]),
             "search_ms_per_dictation": statistics.fmean(search_ms[side]),
             "memo_hit_ratio": memo[side][0] / max(memo[side][1], 1),
@@ -259,6 +296,7 @@ def run(args: argparse.Namespace) -> dict:
         "nproc": os.cpu_count(),
         "distinct_masked_per_dictation": statistics.fmean(distinct),
         "identical_outputs": True,
+        "seeded_searches_verified": verified,
         "searches_per_dictation": by_side["cached"]["searches_per_dictation"],
         "setup_s": setup_s,
         "rows": rows,
@@ -283,7 +321,8 @@ def main(argv: list[str] | None = None) -> int:
                               encoding="utf-8")
     for row in report["rows"]:
         print(f"{row['side']:>9}: {row['searches_per_dictation']:.2f} kernel "
-              f"searches/dictation ({row['nodes_visited_per_dictation']:.0f} "
+              f"searches/dictation ({row['near_seeds_per_dictation']:.2f} "
+              f"near-seeded, {row['nodes_visited_per_dictation']:.0f} "
               f"nodes), {row['search_ms_per_dictation']:.1f} ms "
               f"searching, memo hits {row['memo_hit_ratio']:.2f}, stages "
               f"cover {row['stage_coverage']:.1%}; "
@@ -295,7 +334,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"p95 {stage['p95_ms']:.2f} ms")
     print(f"distinct masked texts/dictation "
           f"{report['distinct_masked_per_dictation']:.2f}; outputs "
-          f"identical; wrote {args.out}")
+          f"identical; {report['seeded_searches_verified']} near-seeded "
+          f"searches identical unseeded; wrote {args.out}")
     failures = coverage_failures(report, MIN_COVERAGE)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -38,6 +38,19 @@ _SWAP_LOGPROB = -2.2  # acoustic cost of a confusion-candidate swap
 _SNAP_LOGPROB = -1.1  # cost of snapping an OOV word to a vocab homophone
 _BEAM_WIDTH = 12
 
+#: Bound on each engine's snap-candidate memo (distinct OOV words seen):
+#: a full memo is cleared and refilled, so a long-running daemon holds
+#: at most this many entries.
+SNAP_MEMO_SIZE = 4096
+
+#: ``WORDS_TO_SPLCHAR`` indexed by first word: head word -> the phrases
+#: starting with it, as ``(table position, words, symbol)`` in table order.
+_SPLCHAR_BY_HEAD: dict[str, tuple[tuple[int, tuple[str, ...], str], ...]] = {}
+for _position, (_words, _symbol) in enumerate(WORDS_TO_SPLCHAR):
+    _SPLCHAR_BY_HEAD[_words[0]] = _SPLCHAR_BY_HEAD.get(_words[0], ()) + (
+        (_position, _words, _symbol),
+    )
+
 #: Voiced/unvoiced pairs in Metaphone's code alphabet: a jittered
 #: consonant usually lands on its counterpart.
 _CONSONANT_SWAPS = {"B": "P", "P": "B", "T": "K", "K": "T", "F": "S", "S": "F"}
@@ -69,12 +82,16 @@ class SimulatedAsrEngine:
     splchar_fidelity: float = 0.95
     name: str = "asr"
     _phonetic_snap: dict[str, list[str]] = field(default_factory=dict, repr=False)
+    _snap_memo: dict[tuple[str, int], tuple[str, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._rebuild_snap_index()
 
     def _rebuild_snap_index(self) -> None:
         self._phonetic_snap = {}
+        self._snap_memo.clear()
         for word in self.lm.vocabulary():
             code = metaphone(word)
             if code:
@@ -235,9 +252,23 @@ class SimulatedAsrEngine:
     def _splchar_unit(
         self, heard: list[str], i: int
     ) -> tuple[list[tuple[list[str], float]], int] | None:
+        """The first ``WORDS_TO_SPLCHAR`` phrase heard at ``i``, if any.
+
+        A phrase can match only if its first word is the heard word
+        itself or, for an out-of-vocabulary heard word, one of that
+        word's snap candidates; only those phrases are tried, in table
+        order, so the first full match is the full table scan's.
+        """
         import math
 
-        for words, symbol in WORDS_TO_SPLCHAR:
+        head = heard[i].lower()
+        phrases = _SPLCHAR_BY_HEAD.get(head, ())
+        if not self.lm.in_vocab(head):
+            for snap in self._snap_candidates(head):
+                phrases += _SPLCHAR_BY_HEAD.get(snap, ())
+            if len(phrases) > 1:
+                phrases = tuple(sorted(phrases))
+        for _, words, symbol in phrases:
             span = len(words)
             window = tuple(w.lower() for w in heard[i : i + span])
             if len(window) < span:
@@ -282,9 +313,28 @@ class SimulatedAsrEngine:
         return candidates
 
     def _snap_candidates(self, word: str, limit: int = 4) -> list[str]:
-        """Vocab words phonetically close to an out-of-vocab word.
+        """Vocab words phonetically close to an out-of-vocab word
+        (:meth:`_lookup_snaps`), memoized per engine.
 
-        Looks up the exact Metaphone code, then near-miss variants (one
+        The answer depends only on the snap index, so the memo is
+        cleared whenever :meth:`_rebuild_snap_index` rebuilds it (on
+        every :meth:`train`), and cleared when it holds
+        :data:`SNAP_MEMO_SIZE` entries.  Threads sharing the engine
+        need no lock: a racing lookup recomputes the same value, and a
+        racing insert overshoots the bound by at most one entry.
+        """
+        key = (word, limit)
+        memo = self._snap_memo
+        snaps = memo.get(key)
+        if snaps is None:
+            snaps = tuple(self._lookup_snaps(word, limit))
+            if len(memo) >= SNAP_MEMO_SIZE:
+                memo.clear()
+            memo[key] = snaps
+        return list(snaps)
+
+    def _lookup_snaps(self, word: str, limit: int) -> list[str]:
+        """Looks up the exact Metaphone code, then near-miss variants (one
         deletion or one voiced/unvoiced consonant swap) — jittered audio
         frequently lands one consonant away from the dictionary word.
         """
@@ -320,6 +370,11 @@ class SimulatedAsrEngine:
     ) -> list[list[str]]:
         # Beam entries: (score, tokens tuple, last word for LM context)
         beam: list[tuple[float, tuple[str, ...], str]] = [(0.0, (), "<s>")]
+        # The beam asks for the same few (context, word) scores hundreds
+        # of times per decode.  The memo lives for one decode, so it can
+        # never outlast a change to the model.
+        scores: dict[tuple[str, str], float] = {}
+        score_of = self.lm.score
         for unit in units:
             expanded: list[tuple[float, tuple[str, ...], str]] = []
             for score, tokens, prev in beam:
@@ -327,7 +382,11 @@ class SimulatedAsrEngine:
                     lm_score = 0.0
                     context = prev
                     for token in cand_tokens:
-                        lm_score += self.lm.score(context, token)
+                        key = (context, token)
+                        value = scores.get(key)
+                        if value is None:
+                            value = scores[key] = score_of(context, token)
+                        lm_score += value
                         context = token
                     expanded.append(
                         (

@@ -292,14 +292,18 @@ class SpeakQL:
         queries: list[str] = []
         top: CorrectedQuery | None = None
         ranked: StructureMatches | None = None
+        near: tuple[tuple[str, ...], ...] = ()
         for rank, text in enumerate(asr.alternatives):
             # The forensic record follows the rank-0 alternative only —
             # that is the correction the output's winner comes from.
+            # Later alternatives differ from rank 0 by a word or two, so
+            # rank 0's ranked structures seed their searches.
             step_ctx = QueryContext(
                 tracer=ctx.tracer,
                 metrics=ctx.metrics,
                 query_record=ctx.query_record if rank == 0 else None,
                 deadline=ctx.deadline,
+                near=near,
             )
             if rank == 0:
                 matches = run_stages(
@@ -309,6 +313,7 @@ class SpeakQL:
                 if text == asr.text:
                     ranked = matches
                 top = corrected
+                near = tuple(r.structure for r in matches.results)
             else:
                 corrected = self._correct_one(text, step_ctx)
                 step_ctx.search_stats = None  # the output reports rank 0's

@@ -85,6 +85,14 @@ class QueryContext:
     #: search or a vote, so a timed-out query leaves no half-mutated
     #: state.
     deadline: float | None = None
+    #: Structures expected near this query's best match: the rank-0
+    #: alternative's ranked structures, handed to each later n-best
+    #: alternative so its search starts from their exact distances
+    #: instead of a beam probe (:meth:`StructureSearchEngine.search`'s
+    #: ``near``).  Request data, never engine state, so threads sharing
+    #: an engine cannot see another request's structures.  Results are
+    #: the same with or without it.
+    near: tuple[tuple[str, ...], ...] = ()
 
     def record(self, stage: str, seconds: float) -> None:
         """Accumulate ``seconds`` against ``stage``."""
@@ -272,7 +280,9 @@ class StructureSearchStage:
         # top-k prefix is exactly a k-wide search, so recording never
         # perturbs the output.
         width = self.k if record is None else max(record.top_k, self.k)
-        ranked, stats = self.searcher.search(value.search_tokens, k=width)
+        ranked, stats = self.searcher.search(
+            value.search_tokens, k=width, near=ctx.near
+        )
         results = ranked[: self.k]
         ctx.search_stats = stats
         if record is not None:
@@ -334,3 +344,5 @@ def _publish_search_stats(metrics: MetricsRegistry, stats: SearchStats) -> None:
         metrics.counter(
             obs_names.SEARCH_BEAM_BOUND_UPDATES
         ).inc(stats.beam_bound_updates)
+    if stats.near_seeds:
+        metrics.counter(obs_names.SEARCH_NEAR_SEEDS).inc(stats.near_seeds)

@@ -107,6 +107,7 @@ SEARCH_CANDIDATES_SCORED = "speakql_search_candidates_scored_total"
 SEARCH_LEVELS_VISITED = "speakql_search_levels_visited_total"
 SEARCH_ROWS_PRUNED = "speakql_search_rows_pruned_total"
 SEARCH_BEAM_BOUND_UPDATES = "speakql_search_beam_bound_updates_total"
+SEARCH_NEAR_SEEDS = "speakql_search_near_seeds_total"
 SEARCH_RESULT_CACHE_HITS = "speakql_search_result_cache_hits_total"
 
 SERVING_REQUESTS_TOTAL = "speakql_serving_requests_total"
@@ -163,6 +164,10 @@ METRIC_NAMES: dict[str, str] = {
                         "search kernel's band/threshold prune.",
     SEARCH_BEAM_BOUND_UPDATES: "counter — beam-probe prune bounds seeded "
                                "by the search kernel.",
+    SEARCH_NEAR_SEEDS: "counter — searches whose prune bound was seeded "
+                       "from near structures (an n-best alternative "
+                       "starting from the rank-0 top-k) instead of a beam "
+                       "probe.",
     SEARCH_RESULT_CACHE_HITS: "counter — searches served from the LRU "
                               "result cache.",
     SERVING_REQUESTS_TOTAL: "counter — requests submitted to the serving "

@@ -264,6 +264,7 @@ def merge_search_stats(parts: list[SearchStats | None]) -> SearchStats | None:
         total.levels_visited += part.levels_visited
         total.rows_pruned += part.rows_pruned
         total.beam_bound_updates += part.beam_bound_updates
+        total.near_seeds += part.near_seeds
     total.result_cache_hit = any(part.result_cache_hit for part in present)
     return total
 

@@ -52,6 +52,7 @@ import copy
 import threading
 from array import array
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,7 +108,9 @@ class SearchStats:
     more nodes and cells, and score more candidates, than a per-trie
     walk, while running far fewer numpy steps.  ``rows_pruned`` and
     ``beam_bound_updates`` count its column-minimum prunes and its beam
-    probes (the oracle leaves them zero).  ``result_cache_hit`` marks
+    probes, and ``near_seeds`` the searches whose cutoff came from the
+    caller's ``near`` structures instead of a beam probe (the oracle
+    leaves all three zero).  ``result_cache_hit`` marks
     stats returned from the LRU result cache (the counters then
     describe the original, cached search, which may have been a wider
     top-k than the request).
@@ -121,6 +124,7 @@ class SearchStats:
     levels_visited: int = 0
     rows_pruned: int = 0
     beam_bound_updates: int = 0
+    near_seeds: int = 0
     result_cache_hit: bool = field(default=False, compare=False)
 
 
@@ -186,13 +190,23 @@ class StructureSearchEngine:
     )
 
     def search(
-        self, masked: tuple[str, ...] | list[str], k: int = 1
+        self,
+        masked: tuple[str, ...] | list[str],
+        k: int = 1,
+        near: Iterable[tuple[str, ...]] = (),
     ) -> tuple[list[SearchResult], SearchStats]:
         """Find the ``k`` structures closest to ``masked``.
 
         Returns the results (ascending distance) and search statistics.
         With ``use_dap``/``use_inv`` off, results are exact: identical to
         scoring every indexed structure.
+
+        ``near`` optionally names structures expected to lie close to
+        ``masked`` (the pipeline passes the rank-0 alternative's top-k
+        when it searches the other n-best alternatives).  It is a hint
+        for the kernel's starting cutoff only: results, distances,
+        order and ``tries_*`` are the same with or without it, and a
+        cache hit ignores it (see :meth:`_search_vector`).
 
         Repeated searches for the same masked string are served from a
         bounded LRU cache (masked transcriptions repeat heavily across a
@@ -222,7 +236,7 @@ class StructureSearchEngine:
                 hit_stats = copy.copy(stats)
                 hit_stats.result_cache_hit = True
                 return (results if width == k else results[:k]), hit_stats
-        results, stats = self._search_uncached(masked, k)
+        results, stats = self._search_uncached(masked, k, near)
         if self.cache_results:
             with self._lock:
                 current = self._cache.get(masked)
@@ -247,7 +261,8 @@ class StructureSearchEngine:
         counters* (an LRU result-cache hit replays the original
         counters, flagging only the ``compare=False``
         ``result_cache_hit`` bit; sessions search every span at one
-        ``k``, so no wider entry ever serves them).  A cached span
+        ``k``, so no wider entry ever serves them, and spans are never
+        near-seeded, so no seed changes their counters).  A cached span
         decode spliced into a later turn is therefore bit-identical to
         re-searching it, and a correction turn only pays for the clause
         it changed.  The compiled index's level plan and keyword masks
@@ -256,13 +271,17 @@ class StructureSearchEngine:
         return self.search(span_tokens, k=k)
 
     def _search_uncached(
-        self, masked: tuple[str, ...], k: int
+        self,
+        masked: tuple[str, ...],
+        k: int,
+        near: Iterable[tuple[str, ...]] = (),
     ) -> tuple[list[SearchResult], SearchStats]:
         stats = SearchStats()
         top = _TopK(k=k)
         keyword = self.index.rarest_keyword(masked) if self.use_inv else None
         self._search_vector(
-            self.index.compiled(self.weights), masked, keyword, top, stats
+            self.index.compiled(self.weights), masked, keyword, top, stats,
+            near,
         )
         return top.results(), stats
 
@@ -275,6 +294,7 @@ class StructureSearchEngine:
         keyword: str | None,
         top: _TopK,
         stats: SearchStats,
+        near: Iterable[tuple[str, ...]] = (),
     ) -> None:
         """One breadth-first DP pass over every trie at once, then Box 2.
 
@@ -287,13 +307,17 @@ class StructureSearchEngine:
         one add + one min otherwise), so distances are bit-identical.  A
         running cutoff ``c`` bounds the final k-th best distance ``T``
         from above: it starts at a width-``k`` beam probe of the closest
-        length holding ``k`` structures, and after each depth drops to
-        the k-th best distance collected so far (any ``k`` genuine
-        distances bound ``T``).  Work is dropped only when it is
-        strictly worse than ``c``, hence than ``T``: with ``use_bdb``
-        whole lengths whose Proposition 1 bound ``|m - L| * w_min``
-        exceeds ``c``, and per cell the bound ``D[i] + |(m - i) - (L -
-        d)| * w_min`` narrows the DP band and drives the column-minimum
+        length holding ``k`` structures — or, when ``near`` holds at
+        least ``k`` usable structures, at the k-th smallest of their
+        exact distances (:meth:`_near_bound`), and the probe is skipped
+        — and after each depth drops to the k-th best distance
+        collected so far (any ``k`` genuine distances of distinct
+        structures inside the searched subtrie bound ``T``).  Work is
+        dropped only when it is strictly worse than ``c``, hence than
+        ``T``: with ``use_bdb`` whole lengths whose Proposition 1 bound
+        ``|m - L| * w_min`` exceeds ``c``, and per cell the bound
+        ``D[i] + |(m - i) - (L - d)| * w_min`` narrows the DP band and
+        drives the column-minimum
         prune (each column shifts into ``ramp`` by its own ``L - d``);
         without BDB the plain ``|i - d| * w_min`` band and ``min_i D[i]``
         (comparisons carry a tiny relative slack, so float rounding can
@@ -315,12 +339,26 @@ class StructureSearchEngine:
         before length ``j`` can differ from the walk's threshold ``t``
         only if some terminal at distance ``<= t`` went uncollected, so
         ``c`` fell below ``t``.  The ``k`` distances that set ``c``
-        (beam or collected terminals) are then all below ``t``.  Had
-        they all come from tries the walk searched before ``j``, ``t``
-        would be ``<= c``; a trie it skipped holds none below ``t``; so
-        one comes from ``j`` or a later length, where every distance is
-        at least ``j``'s Proposition 1 bound.  That bound is below
-        ``t``, and neither side skips ``j``.
+        (beam, near seed or collected terminals) are then all below
+        ``t``.  Had they all come from tries the walk searched before
+        ``j``, ``t`` would be ``<= c``; a trie it skipped holds none
+        below ``t``; so one comes from ``j`` or a later length, where
+        every distance is at least ``j``'s Proposition 1 bound.  That
+        bound is below ``t``, and neither side skips ``j``.
+
+        **Near seed.**  Both arguments use only that the starting
+        cutoff is the k-th smallest of ``k`` genuine distances of
+        distinct structures inside the searched subtrie, so a seed
+        from ``near`` keeps them whole if it is one.  :meth:`_near_bound`
+        keeps distinct structures found in the tries — under INV only
+        those holding ``keyword`` — and computes each distance with the
+        pass's per-cell arithmetic in its order (:func:`_column`, the
+        beam's step), so each is the exact value the pass would
+        collect.  That exactness matters: terminals are collected at
+        ``<= c`` with no slack, so a seed summed in any other order
+        could land one ulp below ``T`` and drop a terminal at ``T``.
+        DAP never seeds (``near`` is ignored), since a near structure
+        may lie outside the DAP subtrie.
 
         **INV and DAP** each cut the tries down to a fixed subtrie, and
         the argument above holds for the pass over that subtrie.  INV
@@ -380,16 +418,25 @@ class StructureSearchEngine:
         masked_ids = [token_ids.get(t, -1) for t in masked]
         buf = np.empty(0, dtype=np.float64)
 
+        start_col = first_col.tolist()
         cut = _INF
-        for length in order_lengths:
-            if structures[length] >= top.k:
-                cut = self._beam_bound(
-                    compiled, length, masked_ids, mask_weights,
-                    first_col.tolist(), top.k, use_dap,
-                    masks.tries[length] if bit else None, bit,
-                )
-                stats.beam_bound_updates += 1
-                break
+        if near and not use_dap:
+            cut = self._near_bound(
+                compiled, near, masked_ids, mask_weights, start_col, top.k,
+                masks.tries if bit else None, bit,
+            )
+            if cut != _INF:
+                stats.near_seeds += 1
+        if cut == _INF:
+            for length in order_lengths:
+                if structures[length] >= top.k:
+                    cut = self._beam_bound(
+                        compiled, length, masked_ids, mask_weights,
+                        start_col, top.k, use_dap,
+                        masks.tries[length] if bit else None, bit,
+                    )
+                    stats.beam_bound_updates += 1
+                    break
         roots = levels[0].length
         if cell_bound and cut != _INF:
             lower = np.abs(roots - m) * min_literal_weight
@@ -547,6 +594,69 @@ class StructureSearchEngine:
                 pos = at
 
     @staticmethod
+    def _near_bound(
+        compiled: CompiledStructureIndex,
+        near: Iterable[tuple[str, ...]],
+        masked_ids: list[int],
+        mask_weights: list[float],
+        first_col: list[float],
+        k: int,
+        node_masks: dict[int, array] | None,
+        bit: int,
+    ) -> float:
+        """Upper bound on the k-th best distance from ``near`` structures.
+
+        Each distinct ``near`` structure is looked up in its length's
+        trie; one that is not indexed, or (with INV's ``node_masks`` and
+        ``bit``) does not hold the keyword, lies outside the searched
+        subtrie and is dropped.  The rest get their exact distance to
+        the masked text, one :func:`_column` step per token from
+        ``first_col`` — the pass's own arithmetic, so each value is the
+        bit-identical distance the pass would collect for it (columns
+        of shared trie prefixes are computed once).  Returns the k-th
+        smallest, or ``inf`` when fewer than ``k`` remain.
+        """
+        token_ids = compiled.token_ids
+        token_weight = compiled.token_weight
+        columns: dict[tuple[int, int], list[float]] = {}
+        dists: list[float] = []
+        for structure in dict.fromkeys(tuple(s) for s in near):
+            length = len(structure)
+            trie = compiled.tries.get(length)
+            if trie is None:
+                continue
+            fc = trie.first_child
+            ns = trie.next_sibling
+            tids = trie.token_id
+            node = 0
+            col = first_col
+            for token in structure:
+                t = token_ids.get(token, -1)
+                child = fc[node]
+                while child >= 0 and tids[child] != t:
+                    child = ns[child]
+                if child < 0:
+                    break
+                node = child
+                key = (length, node)
+                ncol = columns.get(key)
+                if ncol is None:
+                    ncol = _column(
+                        col, t, token_weight[t], masked_ids, mask_weights
+                    )
+                    columns[key] = ncol
+                col = ncol
+            else:
+                if trie.sentence_id[node] >= 0 and (
+                    not bit or node_masks[length][node] & bit
+                ):
+                    dists.append(col[-1])
+        if len(dists) < k:
+            return _INF
+        dists.sort()
+        return dists[k - 1]
+
+    @staticmethod
     def _beam_bound(
         compiled: CompiledStructureIndex,
         length: int,
@@ -561,9 +671,12 @@ class StructureSearchEngine:
         """Upper bound on the k-th best distance via a width-``k`` beam.
 
         Walks the length-``length`` trie level by level keeping the
-        ``k`` most promising partial columns (scalar DP, a few thousand
-        cells at most).  Any ``k`` genuine terminal distances bound the
-        k-th best overall from above, so the result is a valid prune
+        ``k`` most promising partial columns (scalar DP through
+        :func:`_column`, a few thousand cells at most; the near seed
+        steps through the same function, so both report the pass's
+        exact distances).  Skipped when a near seed set the cutoff.
+        Any ``k`` genuine terminal distances bound the k-th best
+        overall from above, so the result is a valid prune
         cutoff no matter how the beam chose — accuracy is never at
         stake, only prune power.  With INV (``node_mask`` and ``bit``)
         and DAP the beam stays inside the subtrie the pass searches:
@@ -578,7 +691,6 @@ class StructureSearchEngine:
         sids = trie.sentence_id
         token_weight = compiled.token_weight
         prime = compiled.prime
-        n = len(masked_ids)
         beam: list[tuple[float, int, list[float]]] = [(0.0, 0, first_col)]
         while beam:
             expanded: list[tuple[float, int, list[float]]] = []
@@ -590,22 +702,10 @@ class StructureSearchEngine:
                         child = ns[child]
                         continue
                     t = tids[child]
-                    w = token_weight[t]
-                    prev_im1 = col[0]
-                    v = prev_im1 + w
-                    ncol = [v]
-                    append = ncol.append
-                    for i in range(1, n + 1):
-                        prev_i = col[i]
-                        if masked_ids[i - 1] == t:
-                            v = prev_im1
-                        else:
-                            a = prev_i + w
-                            b = v + mask_weights[i - 1]
-                            v = a if a < b else b
-                        append(v)
-                        prev_im1 = prev_i
-                    expanded.append((v, child, ncol))
+                    ncol = _column(
+                        col, t, token_weight[t], masked_ids, mask_weights
+                    )
+                    expanded.append((ncol[-1], child, ncol))
                     child = ns[child]
                 if use_dap:
                     run = expanded[first:]
@@ -620,6 +720,39 @@ class StructureSearchEngine:
                 return expanded[k - 1][0] if len(expanded) >= k else _INF
             beam = expanded[:k]
         return _INF
+
+
+def _column(
+    col: list[float],
+    t: int,
+    w: float,
+    masked_ids: list[int],
+    mask_weights: list[float],
+) -> list[float]:
+    """One scalar DP column: the child (token id ``t``, weight ``w``) of
+    a node whose column is ``col``.
+
+    Per cell, the pass's arithmetic in its order: ``prev + w`` (insert),
+    ``v + mask_w`` (delete), the smaller of the two, then the match
+    override (the parent's diagonal cell).  The beam probe and the near
+    seed both step through it, so every value they report is bit for bit
+    the distance the pass computes for the same path.
+    """
+    prev_im1 = col[0]
+    v = prev_im1 + w
+    ncol = [v]
+    append = ncol.append
+    for i in range(1, len(col)):
+        prev_i = col[i]
+        if masked_ids[i - 1] == t:
+            v = prev_im1
+        else:
+            a = prev_i + w
+            b = v + mask_weights[i - 1]
+            v = a if a < b else b
+        append(v)
+        prev_im1 = prev_i
+    return ncol
 
 
 def _dap_keep(

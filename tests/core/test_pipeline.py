@@ -14,6 +14,8 @@ from repro.core.stages import QueryContext, StructureSearchStage, run_stages
 from repro.errors import DeadlineExceededError
 from repro.grammar.generator import StructureGenerator
 from repro.metrics import score_query
+from repro.observability import names as obs_names
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import Tracer
 from repro.structure.indexer import StructureIndex
 from repro.structure.search import StructureSearchEngine
@@ -162,9 +164,9 @@ class TestSharedRankZeroSearch:
         searched: list[tuple[tuple[str, ...], int]] = []
         original = fresh._searcher._search_uncached
 
-        def spy(masked, k):
+        def spy(masked, k, near=()):
             searched.append((masked, k))
-            return original(masked, k)
+            return original(masked, k, near)
 
         monkeypatch.setattr(fresh._searcher, "_search_uncached", spy)
         runner_ups = []
@@ -185,6 +187,45 @@ class TestSharedRankZeroSearch:
         assert [m for m, _ in searched] == list(dict.fromkeys(masked))
         # The rank-0 text is searched once, at the runner-ups' width.
         assert searched[0] == (masked[0], fresh.config.top_k)
+        asr = AsrResult(text=out.asr_text, alternatives=out.asr_alternatives)
+        assert_matches_oracle(fresh, asr, out)
+
+    @pytest.mark.parametrize("sql,seed", [
+        ("SELECT salary FROM Salaries WHERE salary > 70000", 5),
+        ("SELECT FirstName FROM Employees WHERE Gender = 'M'", 11),
+    ])
+    def test_alternatives_search_from_the_rank_zero_top_k(
+        self, fresh, monkeypatch, sql, seed
+    ):
+        searched = []
+        original = fresh._searcher._search_uncached
+
+        def spy(masked, k, near=()):
+            results, stats = original(masked, k, near)
+            searched.append((masked, k, tuple(near), stats))
+            return results, stats
+
+        monkeypatch.setattr(fresh._searcher, "_search_uncached", spy)
+        metrics = MetricsRegistry()
+        out = fresh.query_from_speech(sql, seed=seed, nbest=5,
+                                      metrics=metrics)
+        assert len(searched) > 1, "needs a distinct masked alternative"
+        rank0, k0, near0, _ = searched[0]
+        assert near0 == ()
+        ranked, _ = fresh._searcher.search(rank0, k=k0)
+        for masked, k, near, stats in searched[1:]:
+            assert k == 1
+            assert near == tuple(r.structure for r in ranked)
+            # The seed changes where the pass starts, never the answer.
+            plain, plain_stats = original(masked, k)
+            assert stats.near_seeds == 1
+            assert plain_stats.near_seeds == 0
+            assert (stats.tries_searched, stats.tries_skipped) == (
+                plain_stats.tries_searched, plain_stats.tries_skipped
+            )
+        assert metrics.counter(obs_names.SEARCH_NEAR_SEEDS).value == (
+            len(searched) - 1
+        )
         asr = AsrResult(text=out.asr_text, alternatives=out.asr_alternatives)
         assert_matches_oracle(fresh, asr, out)
 

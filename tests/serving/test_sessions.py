@@ -206,3 +206,17 @@ class TestRuntimeSessions:
         assert response.ok
         assert [p["clause"] for p in response.partials] == ["SELECT", "FROM"]
         assert all(p["reused"] is False for p in response.partials)
+
+
+def test_merged_stats_sum_near_seeds():
+    from repro.serving.sessions import merge_search_stats
+    from repro.structure.search import SearchStats
+
+    merged = merge_search_stats([
+        SearchStats(near_seeds=1, beam_bound_updates=0),
+        None,
+        SearchStats(near_seeds=0, beam_bound_updates=1),
+        SearchStats(near_seeds=1),
+    ])
+    assert merged.near_seeds == 2
+    assert merged.beam_bound_updates == 1

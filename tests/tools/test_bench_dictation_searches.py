@@ -30,6 +30,7 @@ def _report(cached=0.996, uncached=0.998):
         {
             "side": side,
             "searches_per_dictation": 1.5,
+            "near_seeds_per_dictation": 0.5,
             "nodes_visited_per_dictation": 100.0,
             "search_ms_per_dictation": 2.0,
             "memo_hit_ratio": 0.5,
@@ -42,7 +43,8 @@ def _report(cached=0.996, uncached=0.998):
         }
         for side, coverage in (("cached", cached), ("uncached", uncached))
     ]
-    return {"rows": rows, "distinct_masked_per_dictation": 1.5}
+    return {"rows": rows, "distinct_masked_per_dictation": 1.5,
+            "seeded_searches_verified": 3}
 
 
 class TestStagePercentiles:

@@ -27,8 +27,8 @@ report (``bench_dictation_searches.py``) appends one entry per side —
 production result cache vs ``cache_results=False`` — keyed
 ``dictation_searches@q80t750-cached`` / ``-uncached``; besides
 latency it keeps the work counters a kernel or memo change is judged
-by: kernel ``nodes_visited`` per dictation and the placeholder-memo
-hit ratio.
+by: kernel ``nodes_visited`` per dictation, the near-seeded kernel
+searches per dictation and the placeholder-memo hit ratio.
 
 Every entry is stamped with the machine's core count (``nproc``) and
 the run's ``PYTHONHASHSEED`` (``pythonhashseed``: the environment
@@ -245,6 +245,9 @@ def entries_from_report(report: dict, source: str) -> list[dict]:
                     "nodes_visited_per_dictation"
                 ),
                 "memo_hit_ratio": row.get("memo_hit_ratio"),
+                "near_seeds_per_dictation": row.get(
+                    "near_seeds_per_dictation"
+                ),
                 "source": source,
                 "recorded_at": recorded_at,
                 **stamp,
