@@ -8,7 +8,7 @@ and a cheap *online* phase that runs per dictated query.
 effectively immutable assets:
 
 - the grammar-derived (catalog-independent) :class:`StructureIndex`,
-  pre-lowered to its flat-array compiled form (see
+  pre-lowered to its compiled level plan (see
   :mod:`repro.structure.compiled`) so search workers share the
   immutable arrays read-only, plus the per-clause indexes used by
   clause-level dictation;
@@ -97,7 +97,7 @@ class SpeakQLArtifacts:
                 StructureGenerator(max_tokens=max_structure_tokens)
             )
         # Lower the index to its compiled form here, in the offline step:
-        # the flat arrays are immutable, so batch workers share them
+        # the plan's arrays are immutable, so batch workers share them
         # read-only instead of racing on a lazy first compile.
         structure_index.compiled()
         return cls(

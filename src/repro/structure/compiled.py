@@ -1,51 +1,49 @@
-"""Compiled structure index: interned tokens over flat-array tries.
+"""Compiled structure index: interned tokens over one breadth-first plan.
 
-Building the :class:`~repro.structure.indexer.StructureIndex` is the
-paper's offline step; this module adds a second offline step that
-*lowers* the built index into an immutable, cache-friendly form the
-search engine's hot loop can run on without touching a single dict or
-string:
+Building the :class:`~repro.structure.indexer.StructureIndex` (the
+grammar's structures, deduplicated) is the paper's offline step; this
+module adds a second offline step that *lowers* the structure list into
+the one immutable layout the search engine runs on, without touching a
+single dict or string in its hot loop:
 
-- a global **intern table** mapping every distinct trie token to a small
-  integer id, with a precomputed per-id operation-weight vector (so the
-  inner DP loop never calls ``classify_token`` or hashes a string);
-- each per-length trie flattened into contiguous **first-child /
-  next-sibling arrays** (``array('i')``) carrying node token ids and
-  terminal sentence ids;
-- one breadth-first **level plan** (:meth:`CompiledStructureIndex.level_plan`,
-  built on first use) laying every trie's depth-``d`` nodes side by side
-  as int32 numpy arrays, so the search kernel takes one numpy step per
-  depth for all tries at once;
+- a global **intern table** mapping every distinct structure token to a
+  small integer id, with a precomputed per-id operation-weight vector
+  (so the inner DP loop never calls ``classify_token`` or hashes a
+  string);
+- the **level plan** (:class:`LevelPlan`): the paper's length-partitioned
+  tries laid out breadth-first, every trie's depth-``d`` nodes side by
+  side as int32 numpy arrays (token id, sentence id, trie length, child
+  start and count).  The kernel takes one numpy step per depth for all
+  tries at once, and the scalar beam probe and near seed walk the same
+  rows.  :meth:`CompiledStructureIndex.compile` builds it straight from
+  the structures; no node trie is ever built;
 - INV's **keyword masks** (:meth:`CompiledStructureIndex.keyword_masks`,
-  built on the first INV search): per node, a bitmask of the inverted
-  index's keywords held by some structure through it.
+  built on the first INV search): per plan row, a bitmask of the
+  inverted index's keywords held by some structure through it.
 
 Only the per-id weight vector is weight-specific;
 :meth:`CompiledStructureIndex.reweighted` derives a variant for
-different weights that shares the tries, the level plan and the keyword
-masks outright.  ``repro.structure.persistence`` serializes the flat
-arrays directly, so a cached index loads without re-inserting token
-sequences into pointer-heavy tries.
+different weights that shares the plan and the keyword masks outright.
+``repro.structure.persistence`` serializes the plan directly
+(:meth:`CompiledStructureIndex.to_lines`), and a load checks it
+(:meth:`CompiledStructureIndex.from_lines`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.grammar.vocabulary import INVERTED_KEYWORDS, PRIME_SUPERSET
 from repro.structure.edit_distance import DEFAULT_WEIGHTS, TokenWeights
-from repro.structure.trie import TokenTrie
 
 if TYPE_CHECKING:
     from repro.structure.indexer import StructureIndex
-
-#: Sentinel for "no child" / "no sibling" / "not terminal".
-NO_NODE = -1
-
 
 def weights_key(weights: TokenWeights) -> tuple[float, float, float]:
     """Hashable identity of a weight setting (used as a cache key)."""
@@ -69,50 +67,42 @@ def span_state_key(
 
 
 @dataclass(frozen=True)
-class CompiledTrie:
-    """One length's trie as contiguous first-child/next-sibling arrays.
-
-    Node 0 is the root (empty prefix; ``token_id`` −1).  For a node
-    ``i``, ``first_child[i]`` / ``next_sibling[i]`` are node indexes (or
-    :data:`NO_NODE`), ``token_id[i]`` indexes the owning index's intern
-    table, and ``sentence_id[i]`` is the terminal structure's id (or
-    :data:`NO_NODE`).  Weights are looked up by token id, so a trie is
-    purely structural and every weight variant shares it.
-    """
-
-    length: int
-    first_child: array
-    next_sibling: array
-    token_id: array
-    sentence_id: array
-
-    @property
-    def node_count(self) -> int:
-        return len(self.first_child)
-
-
-@dataclass(frozen=True)
 class PlanLevel:
     """Every trie's nodes at one depth, side by side.
 
     Tries appear in ascending length order and each trie's nodes
     parent-major (children of its previous-level first node first),
-    siblings in first-child/next-sibling order.  Each trie's run is
-    therefore its depth-first left-to-right order restricted to this
-    depth, and ``length`` is nondecreasing along the level.  Because the
-    next level lists the same tries in the same order, the children of
-    node ``j`` occupy rows ``child_start[j] : child_start[j] +
-    child_count[j]`` of the next level.
+    siblings in order of first appearance in the structure list.  Each
+    trie's run is therefore its depth-first left-to-right order
+    restricted to this depth, and ``length`` is nondecreasing along the
+    level.  Because the next level lists the same tries in the same
+    order, the children of node ``j`` occupy rows ``child_start[j] :
+    child_start[j] + child_count[j]`` of the next level.
     """
 
-    #: Interned token id per node (−1 for the roots of level 0).
+    #: Interned token id per node (-1 for the roots of level 0).
     token_id: np.ndarray
-    #: Sentence id per node (−1 for non-terminals).
+    #: Sentence id per node (-1 for non-terminals).
     sentence_id: np.ndarray
     #: Length of the trie the node belongs to.
     length: np.ndarray
     child_start: np.ndarray
     child_count: np.ndarray
+
+
+def _level(
+    token_id, sentence_id, length, child_count
+) -> PlanLevel:
+    """One :class:`PlanLevel` from its row arrays (``child_start``
+    follows from the counts)."""
+    counts = np.asarray(child_count, dtype=np.int32)
+    return PlanLevel(
+        token_id=np.asarray(token_id, dtype=np.int32),
+        sentence_id=np.asarray(sentence_id, dtype=np.int32),
+        length=np.asarray(length, dtype=np.int32),
+        child_start=np.cumsum(counts, dtype=np.int32) - counts,
+        child_count=counts,
+    )
 
 
 @dataclass(frozen=True)
@@ -128,17 +118,25 @@ class LevelPlan:
     """
 
     levels: tuple[PlanLevel, ...]
-    #: Structure count per trie length.
+    #: Structure count per trie length, lengths ascending.
     structures: dict[int, int]
+    #: Row of each trie's root in ``levels[0]``, by length.
+    roots: dict[int, int]
+    #: Per depth, memoryviews of ``(child_start, child_count,
+    #: token_id)``: the beam probe's and near seed's scalar reads, which
+    #: index to plain ints as fast as an ``array``.
+    rows: tuple[tuple[memoryview, memoryview, memoryview], ...] = field(
+        repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
 class KeywordMasks:
-    """INV's view of the index (Appendix D.3), as per-node bitmasks.
+    """INV's view of the index (Appendix D.3), as per-row bitmasks.
 
-    A node's mask has keyword ``kw``'s bit ``bits[kw]`` set iff some
+    A row's mask has keyword ``kw``'s bit ``bits[kw]`` set iff some
     structure through the node holds ``kw``: the OR of the masks of the
-    structures below it.  Dropping every node without the bit leaves
+    structures below it.  Dropping every row without the bit leaves
     exactly the tries of ``kw``'s postings, in the full tries' order.
     The masks are structural, so every weight variant shares them.
     """
@@ -147,8 +145,6 @@ class KeywordMasks:
     bits: dict[str, int]
     #: Per depth, one mask per :class:`LevelPlan` row (uint32).
     levels: tuple[np.ndarray, ...]
-    #: Per trie length, one mask per :class:`CompiledTrie` node.
-    tries: dict[int, array]
     #: Per keyword, its postings' count per trie length.
     structures: dict[str, dict[int, int]]
 
@@ -158,7 +154,7 @@ class CompiledStructureIndex:
     """An immutable lowered :class:`StructureIndex`.
 
     Shared read-only across worker threads: nothing in it mutates after
-    :meth:`compile` returns except the lazily built :meth:`level_plan`.
+    :meth:`compile` returns except the lazily built :meth:`keyword_masks`.
     """
 
     #: Intern table: id -> token, token -> id.
@@ -169,57 +165,46 @@ class CompiledStructureIndex:
     #: True per token id iff the token is in the DAP prime superset.
     prime: tuple[bool, ...]
     weights: TokenWeights
-    #: Flat tries keyed by structure length.
-    tries: dict[int, CompiledTrie]
-    #: Terminal structures by sentence id (DFS discovery order).
+    #: Every length trie, breadth-first.
+    plan: LevelPlan
+    #: Structures by sentence id: the index's structures, in order.
     sentences: tuple[tuple[str, ...], ...]
-    #: One-slot holders of the :class:`LevelPlan` and the
-    #: :class:`KeywordMasks`, shared by every :meth:`reweighted` variant.
-    _plan: list = field(default_factory=list, repr=False, compare=False)
+    #: One-slot holder of the :class:`KeywordMasks`, shared by every
+    #: :meth:`reweighted` variant.
     _masks: list = field(default_factory=list, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.sentences)
 
-    def level_plan(self) -> LevelPlan:
-        """The breadth-first plan of every trie, built lazily and cached.
-
-        The build is idempotent, which keeps concurrent first calls
-        benign.
-        """
-        if not self._plan:
-            self._plan.append(_build_plan(self.tries))
-        return self._plan[0]
-
     def keyword_masks(self) -> KeywordMasks:
         """INV's keyword masks, built on first use and cached (the build
-        is idempotent, like :meth:`level_plan`'s)."""
+        is idempotent, which keeps concurrent first calls benign)."""
         if not self._masks:
-            self._masks.append(_build_masks(self, self.level_plan()))
+            self._masks.append(_build_masks(self))
         return self._masks[0]
 
     @property
     def lengths(self) -> list[int]:
-        return sorted(self.tries)
+        return list(self.plan.structures)
 
     @property
     def weights_key(self) -> tuple[float, float, float]:
         return weights_key(self.weights)
 
     def node_count(self) -> int:
-        return sum(trie.node_count for trie in self.tries.values())
+        """Trie nodes across all lengths, roots included: the plan's rows."""
+        return sum(level.token_id.size for level in self.plan.levels)
 
     def largest_trie_nodes(self) -> int:
-        if not self.tries:
-            return 0
-        return max(trie.node_count for trie in self.tries.values())
+        rows = np.concatenate([level.length for level in self.plan.levels])
+        return int(np.bincount(rows).max()) if rows.size else 0
 
     def metrics(self) -> dict[str, int]:
         """Size gauges for the observability layer, by canonical metric
         name (see :mod:`repro.observability.names`)."""
         return {
             "speakql_index_structures": len(self.sentences),
-            "speakql_index_tries": len(self.tries),
+            "speakql_index_tries": len(self.plan.structures),
             "speakql_index_trie_nodes": self.node_count(),
             "speakql_index_tokens": len(self.tokens),
         }
@@ -232,69 +217,75 @@ class CompiledStructureIndex:
         index: "StructureIndex",
         weights: TokenWeights = DEFAULT_WEIGHTS,
     ) -> "CompiledStructureIndex":
-        """Lower a built index into the flat-array form.
+        """Lower a built index's structures straight into the level plan.
 
-        Tokens are interned in first-encounter order (lengths ascending,
-        preorder within each trie), which makes compilation — and
-        everything derived from it — deterministic.
+        Per length (ascending) and per depth, a node is a distinct
+        (parent row, token) key, and the keys take rows parent-major,
+        siblings in order of first appearance in the structure list:
+        the breadth-first order of the node tries the structures would
+        build, row for row.  A terminal's sentence id is its
+        structure's position in ``index.structures``, which the
+        compiled form shares as its ``sentences``.  Tokens are interned
+        in first appearance too (lengths ascending), so compilation —
+        and everything derived from it — is deterministic.
         """
-        tokens: list[str] = []
-        token_ids: dict[str, int] = {}
-        sentences: list[tuple[str, ...]] = []
-        tries: dict[int, CompiledTrie] = {}
-        for length in sorted(index.tries):
-            tries[length] = _compile_trie(
-                length, index.tries[length], tokens, token_ids, sentences
-            )
-        token_weight = array("d", (weights.of(t) for t in tokens))
-        prime = tuple(t in PRIME_SUPERSET for t in tokens)
+        tokens, plan = _lower(index.structures)
+        return cls._assemble(tokens, index.structures, plan, weights)
+
+    @classmethod
+    def _assemble(
+        cls,
+        tokens: tuple[str, ...],
+        sentences: tuple[tuple[str, ...], ...],
+        plan: LevelPlan,
+        weights: TokenWeights,
+    ) -> "CompiledStructureIndex":
         return cls(
-            tokens=tuple(tokens),
-            token_ids=token_ids,
-            token_weight=token_weight,
-            prime=prime,
+            tokens=tokens,
+            token_ids={token: i for i, token in enumerate(tokens)},
+            token_weight=array("d", (weights.of(t) for t in tokens)),
+            prime=tuple(t in PRIME_SUPERSET for t in tokens),
             weights=weights,
-            tries=tries,
-            sentences=tuple(sentences),
+            plan=plan,
+            sentences=sentences,
         )
 
     def reweighted(self, weights: TokenWeights) -> "CompiledStructureIndex":
         """A compiled variant for different weights.
 
-        Only the per-id weight vector is recomputed; the tries, the
-        level plan and the keyword masks are shared outright.
+        Only the per-id weight vector is recomputed; the plan and the
+        keyword masks are shared outright.
         """
         if weights_key(weights) == self.weights_key:
             return self
-        return CompiledStructureIndex(
-            tokens=self.tokens,
-            token_ids=self.token_ids,
+        return dataclasses.replace(
+            self,
             token_weight=array("d", (weights.of(t) for t in self.tokens)),
-            prime=self.prime,
             weights=weights,
-            tries=self.tries,
-            sentences=self.sentences,
-            _plan=self._plan,
-            _masks=self._masks,
         )
 
     # -- serialization ------------------------------------------------------
 
     def to_lines(self) -> list[str]:
-        """Serialize the structural arrays as text lines.
+        """Serialize the plan as text lines: the intern table, the
+        structure count, the trie lengths, then per depth its width and
+        its token ids, sentence ids and child counts (lengths and child
+        starts follow from those).
 
         Weight vectors are derived data and are not persisted; a load
         recompiles them for the weights in effect.
         """
-        lines = [f"tokens {len(self.tokens)}", " ".join(self.tokens)]
-        lines.append(f"structures {len(self.sentences)}")
-        for length in sorted(self.tries):
-            trie = self.tries[length]
-            lines.append(f"trie {length} {trie.node_count}")
-            lines.append(" ".join(map(str, trie.first_child)))
-            lines.append(" ".join(map(str, trie.next_sibling)))
-            lines.append(" ".join(map(str, trie.token_id)))
-            lines.append(" ".join(map(str, trie.sentence_id)))
+        levels = self.plan.levels
+        lines = [
+            f"tokens {len(self.tokens)}",
+            " ".join(self.tokens),
+            f"structures {len(self.sentences)}",
+            "lengths " + " ".join(map(str, self.lengths)),
+        ]
+        for depth, level in enumerate(levels):
+            lines.append(f"level {depth} {level.token_id.size}")
+            for row in (level.token_id, level.sentence_id, level.child_count):
+                lines.append(" ".join(map(str, row.tolist())))
         return lines
 
     @classmethod
@@ -305,259 +296,226 @@ class CompiledStructureIndex:
     ) -> "CompiledStructureIndex":
         """Rebuild a compiled index from :meth:`to_lines` output.
 
-        Raises ``ValueError`` on any structural inconsistency.
+        The lines come from outside the program, so the plan is checked
+        before any search runs on it: each level's child counts sum to
+        the next level's width, token ids index the intern table and
+        differ among siblings, sentence ids sit exactly on depth ``L``
+        of each length-``L`` trie (which has no deeper rows) and name
+        every structure once.
+        Raises ``ValueError`` on any inconsistency.
         """
         pos = 0
 
-        def take() -> str:
+        def take(name: str | None = None) -> list[str]:
             nonlocal pos
             if pos >= len(lines):
                 raise ValueError("truncated compiled index")
-            line = lines[pos]
+            fields = lines[pos].split()
             pos += 1
-            return line
+            if name is not None and (not fields or fields[0] != name):
+                raise ValueError(f"expected {name!r}, got {lines[pos - 1]!r}")
+            return fields
 
-        head = take().split()
-        if len(head) != 2 or head[0] != "tokens":
-            raise ValueError(f"expected token table, got {head!r}")
-        n_tokens = int(head[1])
-        tokens = tuple(take().split())
-        if len(tokens) != n_tokens:
+        def ints(fields: list[str], width: int, what: str) -> np.ndarray:
+            if len(fields) != width:
+                raise ValueError(f"{what}: expected {width} entries")
+            return np.array(list(map(int, fields)), dtype=np.int64)
+
+        head = take("tokens")
+        tokens = tuple(take())
+        if len(head) != 2 or len(tokens) != int(head[1]):
             raise ValueError("token table length mismatch")
-        head = take().split()
-        if len(head) != 2 or head[0] != "structures":
-            raise ValueError(f"expected structure count, got {head!r}")
+        if len(set(tokens)) != len(tokens):
+            raise ValueError("repeated token in the intern table")
+        head = take("structures")
+        if len(head) != 2:
+            raise ValueError("bad structure count")
         n_sentences = int(head[1])
-        token_ids = {token: i for i, token in enumerate(tokens)}
-        sentences: list[tuple[str, ...] | None] = [None] * n_sentences
-        tries: dict[int, CompiledTrie] = {}
-        while pos < len(lines):
-            head = take().split()
-            if len(head) != 3 or head[0] != "trie":
-                raise ValueError(f"expected trie header, got {head!r}")
-            length, node_count = int(head[1]), int(head[2])
-            first_child = array("i", map(int, take().split()))
-            next_sibling = array("i", map(int, take().split()))
-            token_id = array("i", map(int, take().split()))
-            sentence_id = array("i", map(int, take().split()))
-            arrays = (first_child, next_sibling, token_id, sentence_id)
-            if any(len(a) != node_count for a in arrays):
-                raise ValueError(f"trie {length}: array length mismatch")
-            tries[length] = CompiledTrie(
-                length=length,
-                first_child=first_child,
-                next_sibling=next_sibling,
-                token_id=token_id,
-                sentence_id=sentence_id,
-            )
-            _collect_sentences(tries[length], tokens, sentences)
-        if any(s is None for s in sentences):
-            raise ValueError("missing terminal structures")
-        token_weight = array("d", (weights.of(t) for t in tokens))
-        prime = tuple(t in PRIME_SUPERSET for t in tokens)
-        return cls(
-            tokens=tokens,
-            token_ids=token_ids,
-            token_weight=token_weight,
-            prime=prime,
-            weights=weights,
-            tries=tries,
-            sentences=tuple(sentences),  # type: ignore[arg-type]
-        )
-
-
-def _compile_trie(
-    length: int,
-    trie: TokenTrie,
-    tokens: list[str],
-    token_ids: dict[str, int],
-    sentences: list[tuple[str, ...]],
-) -> CompiledTrie:
-    """Flatten one dict-of-dicts trie, interning tokens as encountered."""
-    first_child = [NO_NODE]
-    next_sibling = [NO_NODE]
-    token_id = [NO_NODE]
-    sentence_id = [NO_NODE]
-
-    def emit(node) -> int:
-        my = len(first_child)
-        tid = token_ids.get(node.token)
-        if tid is None:
-            tid = len(tokens)
-            token_ids[node.token] = tid
-            tokens.append(node.token)
-        sid = NO_NODE
-        if node.terminal and node.sentence is not None:
-            sid = len(sentences)
-            sentences.append(node.sentence)
-        first_child.append(NO_NODE)
-        next_sibling.append(NO_NODE)
-        token_id.append(tid)
-        sentence_id.append(sid)
-        prev = NO_NODE
-        for child in node.children.values():
-            cid = emit(child)
-            if prev == NO_NODE:
-                first_child[my] = cid
+        fields = take("lengths")[1:]
+        lengths = ints(fields, len(fields), "lengths")
+        if np.any(lengths < 1) or np.any(np.diff(lengths) <= 0):
+            raise ValueError("trie lengths must ascend from 1")
+        levels: list[PlanLevel] = []
+        terminals: list[np.ndarray] = []
+        length = lengths
+        counts = None
+        for depth in range(int(lengths[-1]) + 1 if lengths.size else 1):
+            width = lengths.size if counts is None else int(counts.sum())
+            head = take("level")
+            if head != ["level", str(depth), str(width)]:
+                raise ValueError(
+                    f"level {depth}: header {' '.join(head)!r}, but the "
+                    f"child counts above it sum to {width}"
+                )
+            token_id = ints(take(), width, f"level {depth} token ids")
+            sentence_id = ints(take(), width, f"level {depth} sentence ids")
+            if depth == 0:
+                bad = token_id != -1
             else:
-                next_sibling[prev] = cid
-            prev = cid
-        return my
+                bad = (token_id < 0) | (token_id >= len(tokens))
+            if bad.any():
+                raise ValueError(f"level {depth}: token id out of range")
+            if counts is not None:
+                owner = np.repeat(np.arange(counts.size), counts)
+                siblings = owner * len(tokens) + token_id
+                if np.unique(siblings).size != width:
+                    raise ValueError(f"level {depth}: repeated sibling token")
+                length = length[owner]
+            counts = ints(take(), width, f"level {depth} child counts")
+            leaf = length == depth
+            if np.any(counts < 0) or np.any(counts[leaf] != 0):
+                raise ValueError(f"level {depth}: bad child counts")
+            if np.any(sentence_id[~leaf] != -1) or np.any(sentence_id[leaf] < 0):
+                raise ValueError(
+                    f"level {depth}: sentence ids must sit exactly on the "
+                    f"depth-L rows of each length-L trie"
+                )
+            terminals.append(sentence_id[leaf])
+            levels.append(_level(token_id, sentence_id, length, counts))
+        if pos != len(lines):
+            raise ValueError("trailing data after the last level")
+        sids = np.sort(np.concatenate(terminals))
+        if sids.size != n_sentences or np.any(sids != np.arange(sids.size)):
+            raise ValueError(
+                f"sentence ids do not name each of {n_sentences} structures once"
+            )
+        plan = _plan(levels)
+        if 0 in plan.structures.values():
+            raise ValueError("a trie holds no structure")
+        sentences = _spell(tokens, plan, n_sentences)
+        return cls._assemble(tokens, sentences, plan, weights)
 
-    prev = NO_NODE
-    for child in trie.root.children.values():
-        cid = emit(child)
-        if prev == NO_NODE:
-            first_child[0] = cid
-        else:
-            next_sibling[prev] = cid
-        prev = cid
-    return CompiledTrie(
-        length=length,
-        first_child=array("i", first_child),
-        next_sibling=array("i", next_sibling),
-        token_id=array("i", token_id),
-        sentence_id=array("i", sentence_id),
+
+def _plan(levels: list[PlanLevel]) -> LevelPlan:
+    """The plan of ``levels``, counting each trie's terminals."""
+    lengths = levels[0].length.tolist()
+    return LevelPlan(
+        levels=tuple(levels),
+        structures={
+            length: int(np.count_nonzero(levels[length].length == length))
+            for length in lengths
+        },
+        roots={length: row for row, length in enumerate(lengths)},
+        rows=tuple(
+            (
+                memoryview(level.child_start),
+                memoryview(level.child_count),
+                memoryview(level.token_id),
+            )
+            for level in levels
+        ),
     )
 
 
-def _build_plan(tries: dict[int, CompiledTrie]) -> LevelPlan:
-    """Lay every trie out breadth-first, side by side per depth."""
-    depths = max(tries, default=0) + 1
-    token_id: list[list[int]] = [[] for _ in range(depths)]
-    sentence_id: list[list[int]] = [[] for _ in range(depths)]
-    length_of: list[list[int]] = [[] for _ in range(depths)]
-    child_count: list[list[int]] = [[] for _ in range(depths)]
-    structures: dict[int, int] = {}
-    for length in sorted(tries):
-        trie = tries[length]
-        fc, ns, tid, sid = (
-            trie.first_child,
-            trie.next_sibling,
-            trie.token_id,
-            trie.sentence_id,
-        )
-        structures[length] = sum(1 for s in sid if s != NO_NODE)
-        frontier = [0]
-        for depth in range(length + 1):
-            nxt: list[int] = []
-            for node in frontier:
-                before = len(nxt)
-                child = fc[node]
-                while child != NO_NODE:
-                    nxt.append(child)
-                    child = ns[child]
-                child_count[depth].append(len(nxt) - before)
-            sids = [sid[node] for node in frontier]
-            # The search kernel reads a trie's terminals off its deepest
-            # level; a loaded index must not break that.  (The root is
-            # never terminal in compiled form.)
-            leaf = depth == length
-            if depth and (
-                (leaf and nxt) or any((s != NO_NODE) != leaf for s in sids)
-            ):
-                raise ValueError(
-                    f"trie {length}: terminals are not exactly its "
-                    f"depth-{length} nodes"
-                )
-            token_id[depth].extend(tid[node] for node in frontier)
-            sentence_id[depth].extend(sids)
-            length_of[depth].extend([length] * len(frontier))
-            if not nxt:
-                break
-            frontier = nxt
-    levels = []
-    for depth in range(depths):
-        counts = np.array(child_count[depth], dtype=np.int32)
-        levels.append(
-            PlanLevel(
-                token_id=np.array(token_id[depth], dtype=np.int32),
-                sentence_id=np.array(sentence_id[depth], dtype=np.int32),
-                length=np.array(length_of[depth], dtype=np.int32),
-                child_start=np.cumsum(counts, dtype=np.int32) - counts,
-                child_count=counts,
+def _lower(
+    structures: tuple[tuple[str, ...], ...],
+) -> tuple[tuple[str, ...], LevelPlan]:
+    """Intern table and level plan of deduplicated structures; each
+    terminal's sentence id is its structure's position."""
+    by_length: dict[int, list[int]] = {}
+    for position, structure in enumerate(structures):
+        by_length.setdefault(len(structure), []).append(position)
+    lengths = sorted(by_length)
+    token_ids: dict[str, int] = {}
+    # Per depth, the (token id, sentence id, length, child count)
+    # columns, one part per trie holding that depth, tries ascending.
+    columns = [([], [], [], []) for _ in range(lengths[-1] + 1 if lengths else 1)]
+    for length in lengths:
+        positions = by_length[length]
+        flat = list(chain.from_iterable(map(structures.__getitem__, positions)))
+        for token in dict.fromkeys(flat):
+            token_ids.setdefault(token, len(token_ids))
+        radix = len(token_ids)
+        ids = np.fromiter(
+            map(token_ids.__getitem__, flat), dtype=np.int64, count=len(flat)
+        ).reshape(len(positions), length)
+        # Each structure's row at the current depth, within this trie.
+        row = np.zeros(len(positions), dtype=np.int64)
+        token = np.full(1, -1)
+        for depth in range(1, length + 1):
+            keys, first, inverse = np.unique(
+                row * radix + ids[:, depth - 1],
+                return_index=True,
+                return_inverse=True,
             )
-        )
-    return LevelPlan(levels=tuple(levels), structures=structures)
+            # ``keys`` ascend by (parent row, token id); rows go
+            # parent-major, siblings in order of first appearance.
+            parent = keys // radix
+            order = np.lexsort((first, parent))
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            counts = np.bincount(parent, minlength=token.size)
+            _add(columns[depth - 1], token, -1, length, counts)
+            row = rank[inverse.reshape(-1)]
+            token = keys[order] % radix
+        # The depth-``length`` rows are the terminals, one structure each.
+        sids = np.empty(token.size, dtype=np.int64)
+        sids[row] = positions
+        _add(columns[length], token, sids, length, 0)
+    levels = [_level(*(_cat(parts) for parts in level)) for level in columns]
+    return tuple(token_ids), _plan(levels)
 
 
-def _build_masks(
-    compiled: CompiledStructureIndex, plan: LevelPlan
-) -> KeywordMasks:
-    """Every node's keyword mask, per trie node and per plan row."""
-    bits = {kw: 1 << i for i, kw in enumerate(sorted(INVERTED_KEYWORDS))}
-    token_bit = [bits.get(token, 0) for token in compiled.tokens]
-    rows: list[list[int]] = [[] for _ in plan.levels]
-    tries: dict[int, array] = {}
-    for length in sorted(compiled.tries):
-        trie = compiled.tries[length]
-        fc, ns, tid = trie.first_child, trie.next_sibling, trie.token_id
-        mask = array("I", bytes(4 * trie.node_count))
-        # Top-down, in the plan's breadth-first order: each node's mask
-        # starts as the keywords on its root path.
-        frontiers = [[0]]
-        while True:
-            nxt: list[int] = []
-            for node in frontiers[-1]:
-                path = mask[node]
-                child = fc[node]
-                while child != NO_NODE:
-                    mask[child] = path | token_bit[tid[child]]
-                    nxt.append(child)
-                    child = ns[child]
-            if not nxt:
-                break
-            frontiers.append(nxt)
-        # Bottom-up: a node holds whatever the structures below it hold.
-        for frontier in reversed(frontiers[:-1]):
-            for node in frontier:
-                acc = mask[node]
-                child = fc[node]
-                while child != NO_NODE:
-                    acc |= mask[child]
-                    child = ns[child]
-                mask[node] = acc
-        tries[length] = mask
-        for depth, frontier in enumerate(frontiers):
-            rows[depth].extend(mask[node] for node in frontier)
-    levels = tuple(np.array(masks, dtype=np.uint32) for masks in rows)
-    structures: dict[str, dict[int, int]] = {kw: {} for kw in bits}
+def _add(columns: tuple[list, ...], token, sentence, length, counts) -> None:
+    """Append one trie's rows at one depth to that depth's columns."""
+    for column, part in zip(columns, (token, sentence, length, counts)):
+        column.append(np.broadcast_to(part, token.shape))
+
+
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
+
+
+def _spell(
+    tokens: tuple[str, ...], plan: LevelPlan, n_sentences: int
+) -> tuple[tuple[str, ...], ...]:
+    """Each sentence id's structure, read up its terminal's root path."""
+    words = np.array(tokens, dtype=object)
+    sentences: list = [None] * n_sentences
+    levels = plan.levels
+    parents = [None] + [
+        np.repeat(np.arange(level.child_count.size), level.child_count)
+        for level in levels[:-1]
+    ]
     for depth in range(1, len(levels)):
+        rows = (levels[depth].length == depth).nonzero()[0]
+        ids = np.empty((rows.size, depth), dtype=np.int64)
+        sids = levels[depth].sentence_id[rows].tolist()
+        for d in range(depth, 0, -1):
+            ids[:, d - 1] = levels[d].token_id[rows]
+            rows = parents[d][rows]
+        for sid, structure in zip(sids, words[ids].tolist()):
+            sentences[sid] = tuple(structure)
+    return tuple(sentences)
+
+
+def _build_masks(compiled: CompiledStructureIndex) -> KeywordMasks:
+    """Every plan row's keyword mask."""
+    plan = compiled.plan
+    bits = {kw: 1 << i for i, kw in enumerate(sorted(INVERTED_KEYWORDS))}
+    token_bit = np.array(
+        [bits.get(token, 0) for token in compiled.tokens], dtype=np.uint32
+    )
+    # Top-down: each row's mask starts as the keywords on its root path.
+    masks = [np.zeros(plan.levels[0].token_id.size, dtype=np.uint32)]
+    for parent, level in zip(plan.levels, plan.levels[1:]):
+        owner = np.repeat(np.arange(parent.child_count.size), parent.child_count)
+        masks.append(masks[-1][owner] | token_bit[level.token_id])
+    # Bottom-up: a row holds whatever the structures below it hold.  The
+    # nonempty child runs tile the next level in order.
+    for depth in range(len(masks) - 2, -1, -1):
+        level = plan.levels[depth]
+        has = level.child_count > 0
+        if has.any():
+            masks[depth][has] |= np.bitwise_or.reduceat(
+                masks[depth + 1], level.child_start[has]
+            )
+    structures: dict[str, dict[int, int]] = {kw: {} for kw in bits}
+    for depth in range(1, len(masks)):
         # A length-L trie's terminals are its depth-L nodes.
-        leaves = levels[depth][plan.levels[depth].length == depth]
+        leaves = masks[depth][plan.levels[depth].length == depth]
         for kw, bit in bits.items():
             count = int(np.count_nonzero(leaves & bit))
             if count:
                 structures[kw][depth] = count
-    return KeywordMasks(
-        bits=bits, levels=levels, tries=tries, structures=structures
-    )
-
-
-def _collect_sentences(
-    trie: CompiledTrie,
-    tokens: tuple[str, ...],
-    sentences: list,
-) -> None:
-    """Reconstruct terminal structures by walking root-to-terminal paths."""
-    fc, ns, tid, sid = (
-        trie.first_child,
-        trie.next_sibling,
-        trie.token_id,
-        trie.sentence_id,
-    )
-
-    def walk(node: int, path: list[str]) -> None:
-        child = fc[node]
-        while child != NO_NODE:
-            path.append(tokens[tid[child]])
-            s = sid[child]
-            if s != NO_NODE:
-                if s >= len(sentences):
-                    raise ValueError(f"sentence id {s} out of range")
-                sentences[s] = tuple(path)
-            walk(child, path)
-            path.pop()
-            child = ns[child]
-
-    walk(0, [])
+    return KeywordMasks(bits=bits, levels=tuple(masks), structures=structures)

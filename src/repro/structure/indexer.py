@@ -5,25 +5,23 @@ the bidirectional bounds of Proposition 1 can skip whole tries.  An
 inverted keyword index over the stored structures supports the INV
 approximation (Appendix D.3).
 
-Two representations coexist:
-
-- the mutable build-time form: dict-of-dicts :class:`TokenTrie` objects,
-  grown by :meth:`StructureIndex.add`;
-- the immutable :class:`~repro.structure.compiled.CompiledStructureIndex`
-  the search engine's fast kernel runs on, produced by
-  :meth:`StructureIndex.compiled` (cached per weight setting, invalidated
-  when structures are added).
-
-An index loaded from the disk cache starts *compiled-only* and
-materializes its node tries lazily — only the test oracle
-(:func:`repro.structure.reference.reference_search`) and direct trie
-walks pay that cost.
+A :class:`StructureIndex` is immutable: the deduplicated structures in
+insertion order plus the inverted postings.  The search engine runs on
+its compiled form,
+:class:`~repro.structure.compiled.CompiledStructureIndex`, produced by
+:meth:`StructureIndex.compiled` (cached per weight setting), which lays
+the tries out breadth-first straight from the structure list.  No node
+trie is built on that path; :attr:`StructureIndex.tries` builds the
+dict-of-dicts :class:`~repro.structure.trie.TokenTrie` objects on
+demand for the depth-first test oracle
+(:func:`repro.structure.reference.reference_search`) alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.grammar.generator import StructureGenerator
 from repro.grammar.vocabulary import INVERTED_KEYWORDS
@@ -31,86 +29,60 @@ from repro.structure.compiled import CompiledStructureIndex, weights_key
 from repro.structure.edit_distance import DEFAULT_WEIGHTS, TokenWeights
 from repro.structure.trie import TokenTrie
 
-@dataclass
-class StructureIndex:
-    """Tries keyed by structure length, plus an inverted keyword index."""
 
+@dataclass(frozen=True)
+class StructureIndex:
+    """Deduplicated structures in insertion order, plus an inverted
+    keyword index."""
+
+    structures: tuple[tuple[str, ...], ...] = ()
+    #: Keyword -> the structures holding it, in ``structures`` order.
     inverted: dict[str, list[tuple[str, ...]]] = field(default_factory=dict)
-    _tries: dict[int, TokenTrie] = field(default_factory=dict)
-    _size: int = 0
-    #: A loaded compiled form whose node tries have not been built yet.
-    _lazy: CompiledStructureIndex | None = field(default=None, repr=False)
-    #: Compiled forms keyed by weights, stamped with the size they saw.
-    _compiled_cache: dict = field(default_factory=dict, repr=False)
-    _compiled_size: int = field(default=-1, repr=False)
+    #: Compiled forms keyed by weights.
+    _compiled: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, generator: StructureGenerator | None = None) -> "StructureIndex":
         """Build the index from a structure generator (offline step)."""
-        index = cls()
         generator = generator or StructureGenerator()
-        index.add_all(generator.generate())
-        return index
+        return cls.from_structures(generator.generate())
 
     @classmethod
     def from_structures(
         cls, structures: Iterable[tuple[str, ...]]
     ) -> "StructureIndex":
-        index = cls()
-        index.add_all(structures)
-        return index
+        """Index ``structures``, keeping the first of any duplicates (an
+        empty structure matches nothing and is dropped)."""
+        unique = tuple(dict.fromkeys(tuple(s) for s in structures if s))
+        inverted: dict[str, list[tuple[str, ...]]] = {}
+        for tokens in unique:
+            for keyword in set(tokens):
+                if keyword in INVERTED_KEYWORDS:
+                    inverted.setdefault(keyword, []).append(tokens)
+        return cls(structures=unique, inverted=inverted)
 
     @classmethod
     def from_compiled(cls, compiled: CompiledStructureIndex) -> "StructureIndex":
-        """Wrap a compiled form (e.g. loaded from the disk cache).
-
-        The dict tries are rebuilt lazily on first access; the compiled
-        kernel — and every accessor below — never needs them.
-        """
-        index = cls()
-        index._lazy = compiled
-        index._size = len(compiled.sentences)
-        index._compiled_cache = {compiled.weights_key: compiled}
-        index._compiled_size = index._size
-        for sentence in compiled.sentences:
-            for keyword in set(sentence):
-                if keyword in INVERTED_KEYWORDS:
-                    index.inverted.setdefault(keyword, []).append(sentence)
+        """Wrap a compiled form (e.g. loaded from the disk cache); its
+        weight variants derive from it without compiling again."""
+        index = cls.from_structures(compiled.sentences)
+        index._compiled[compiled.weights_key] = compiled
         return index
 
-    @property
+    @cached_property
     def tries(self) -> dict[int, TokenTrie]:
-        """The dict-of-dicts tries, materializing a lazy-loaded index."""
-        if self._lazy is not None:
-            lazy, self._lazy = self._lazy, None
-            for sentence in lazy.sentences:
-                trie = self._tries.get(len(sentence))
-                if trie is None:
-                    trie = TokenTrie()
-                    self._tries[len(sentence)] = trie
-                trie.insert(sentence)
-        return self._tries
+        """The dict-of-dicts tries keyed by length, built on first access.
 
-    def add_all(self, structures: Iterable[tuple[str, ...]]) -> None:
-        for tokens in structures:
-            self.add(tokens)
-
-    def add(self, tokens: tuple[str, ...]) -> None:
-        """Insert one structure."""
-        length = len(tokens)
-        tries = self.tries
-        trie = tries.get(length)
-        if trie is None:
-            trie = TokenTrie()
-            tries[length] = trie
-        before = len(trie)
-        trie.insert(tokens)
-        if len(trie) == before:
-            return  # duplicate
-        self._size += 1
-        for keyword in set(tokens):
-            if keyword in INVERTED_KEYWORDS:
-                self.inverted.setdefault(keyword, []).append(tokens)
+        Only the test oracle walks them; the search engine, the pipeline
+        and persistence never ask for them.
+        """
+        tries: dict[int, TokenTrie] = {}
+        for tokens in self.structures:
+            trie = tries.get(len(tokens))
+            if trie is None:
+                trie = tries[len(tokens)] = TokenTrie()
+            trie.insert(tokens)
+        return tries
 
     def compiled(
         self, weights: TokenWeights = DEFAULT_WEIGHTS
@@ -119,36 +91,29 @@ class StructureIndex:
 
         Compiled once and cached; later calls (including from concurrent
         batch workers — compilation is value-deterministic, so a rare
-        duplicate build is harmless) return the cached object.  Adding
-        structures invalidates the cache.  Variants for further weight
-        settings share all structural arrays with the first.
+        duplicate build is harmless) return the cached object.  Variants
+        for further weight settings share the plan and the keyword masks
+        with the first.
         """
-        if self._compiled_size != self._size:
-            self._compiled_cache = {}
-            self._compiled_size = self._size
-            if self._lazy is not None:
-                self._compiled_cache[self._lazy.weights_key] = self._lazy
         key = weights_key(weights)
-        compiled = self._compiled_cache.get(key)
+        compiled = self._compiled.get(key)
         if compiled is None:
-            if self._compiled_cache:
-                base = next(iter(self._compiled_cache.values()))
+            if self._compiled:
+                base = next(iter(self._compiled.values()))
                 compiled = base.reweighted(weights)
             else:
                 compiled = CompiledStructureIndex.compile(self, weights)
-            self._compiled_cache[key] = compiled
+            self._compiled[key] = compiled
         return compiled
 
     def __len__(self) -> int:
         """Total number of indexed structures."""
-        return self._size
+        return len(self.structures)
 
     @property
     def lengths(self) -> list[int]:
         """Stored structure lengths, ascending."""
-        if self._lazy is not None:
-            return self._lazy.lengths
-        return sorted(self._tries)
+        return self.compiled().lengths
 
     @property
     def max_length(self) -> int:
@@ -157,17 +122,11 @@ class StructureIndex:
 
     def node_count(self) -> int:
         """Total trie nodes across all lengths."""
-        if self._lazy is not None:
-            return self._lazy.node_count()
-        return sum(trie.node_count for trie in self._tries.values())
+        return self.compiled().node_count()
 
     def largest_trie_nodes(self) -> int:
         """Nodes in the largest trie (the ``p`` of the complexity bound)."""
-        if self._lazy is not None:
-            return self._lazy.largest_trie_nodes()
-        if not self._tries:
-            return 0
-        return max(trie.node_count for trie in self._tries.values())
+        return self.compiled().largest_trie_nodes()
 
     def rarest_keyword(self, tokens: Iterable[str]) -> str | None:
         """INV's narrowing keyword: the indexed keyword among ``tokens``

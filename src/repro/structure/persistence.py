@@ -3,17 +3,17 @@
 Building the structure index is the paper's *offline* step (Section
 3.2/3.3: generate ~1.6M structures, pack them into 50 tries).  This
 module caches the *compiled* index on disk so interactive sessions skip
-both regeneration and trie construction: the file stores the intern
-table and each flat trie's first-child/next-sibling/token-id/sentence-id
-arrays (see :mod:`repro.structure.compiled`), and a load reconstructs a
-ready-to-search :class:`CompiledStructureIndex` directly from them —
-no token sequence is ever re-inserted into a pointer-heavy trie.  The
-dict-of-dicts tries materialize lazily only if the reference search
-kernel (or a direct trie walk) asks for them.
+both regeneration and lowering: the file stores the intern table and
+the level plan, each depth's token ids, sentence ids and child counts
+(see :mod:`repro.structure.compiled`), and a load checks the plan and
+rebuilds a ready-to-search :class:`CompiledStructureIndex` directly from
+it.  No node trie is built on either side.
 
 The file format is a compact text file with a short header recording
-the generator parameters for cache validation; format v1 (one structure
-per line) is no longer readable and simply triggers a rebuild.
+the generator parameters for cache validation.  Older formats (v1, one
+structure per line; v2, one node array per trie) are no longer readable
+and simply trigger a rebuild, as does a file whose plan fails the
+load's checks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.structure.compiled import CompiledStructureIndex
 from repro.structure.indexer import StructureIndex
 
 _MAGIC = "speakql-structures"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class PersistenceError(ReproError):
@@ -43,8 +43,9 @@ def save_structures(index: StructureIndex, path: str | Path, max_tokens: int) ->
 def load_structures(path: str | Path) -> tuple[StructureIndex, int]:
     """Read a structure file; returns (index, max_tokens).
 
-    The returned index wraps the deserialized compiled arrays; its node
-    tries are built lazily on first access.
+    The returned index wraps the deserialized compiled plan.  Raises
+    :class:`PersistenceError` for a file in another format or version,
+    or one whose plan fails the load's checks.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -61,7 +62,7 @@ def load_structures(path: str | Path) -> tuple[StructureIndex, int]:
         raise PersistenceError(f"bad header: {lines[0]!r}") from error
     try:
         compiled = CompiledStructureIndex.from_lines(lines[1:])
-    except ValueError as error:
+    except (ValueError, OverflowError) as error:
         raise PersistenceError(f"corrupt structure file: {error}") from error
     return StructureIndex.from_compiled(compiled), max_tokens
 
@@ -71,8 +72,8 @@ def load_or_build(
 ) -> StructureIndex:
     """Load the index from ``cache_path`` if valid, else build and cache.
 
-    A cached file built with a different ``max_tokens`` — or in the old
-    v1 structure-per-line format — is rebuilt.
+    A cached file built with a different ``max_tokens``, in an older
+    format, or failing the load's checks is rebuilt.
     """
     path = Path(cache_path)
     if path.exists():

@@ -50,14 +50,13 @@ from __future__ import annotations
 
 import copy
 import threading
-from array import array
 from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.structure.compiled import CompiledStructureIndex, CompiledTrie
+from repro.structure.compiled import CompiledStructureIndex
 from repro.structure.edit_distance import DEFAULT_WEIGHTS, TokenWeights
 from repro.structure.indexer import StructureIndex
 
@@ -398,7 +397,7 @@ class StructureSearchEngine:
         first_col = np.empty(m1, dtype=np.float64)
         first_col[0] = 0.0
         np.add.accumulate(mw, out=first_col[1:])
-        plan = compiled.level_plan()
+        plan = compiled.plan
         levels = plan.levels
         structures = plan.structures
         masks = None
@@ -423,7 +422,7 @@ class StructureSearchEngine:
         if near and not use_dap:
             cut = self._near_bound(
                 compiled, near, masked_ids, mask_weights, start_col, top.k,
-                masks.tries if bit else None, bit,
+                masks.levels if bit else None, bit,
             )
             if cut != _INF:
                 stats.near_seeds += 1
@@ -433,7 +432,7 @@ class StructureSearchEngine:
                     cut = self._beam_bound(
                         compiled, length, masked_ids, mask_weights,
                         start_col, top.k, use_dap,
-                        masks.tries[length] if bit else None, bit,
+                        masks.levels if bit else None, bit,
                     )
                     stats.beam_bound_updates += 1
                     break
@@ -601,44 +600,46 @@ class StructureSearchEngine:
         mask_weights: list[float],
         first_col: list[float],
         k: int,
-        node_masks: dict[int, array] | None,
+        row_masks: tuple[np.ndarray, ...] | None,
         bit: int,
     ) -> float:
         """Upper bound on the k-th best distance from ``near`` structures.
 
         Each distinct ``near`` structure is looked up in its length's
-        trie; one that is not indexed, or (with INV's ``node_masks`` and
-        ``bit``) does not hold the keyword, lies outside the searched
-        subtrie and is dropped.  The rest get their exact distance to
-        the masked text, one :func:`_column` step per token from
-        ``first_col`` — the pass's own arithmetic, so each value is the
-        bit-identical distance the pass would collect for it (columns
-        of shared trie prefixes are computed once).  Returns the k-th
-        smallest, or ``inf`` when fewer than ``k`` remain.
+        trie, row by row down the plan; one that is not indexed, or
+        (with INV's ``row_masks`` and ``bit``) does not hold the
+        keyword, lies outside the searched subtrie and is dropped.  The
+        rest get their exact distance to the masked text, one
+        :func:`_column` step per token from ``first_col`` — the pass's
+        own arithmetic, so each value is the bit-identical distance the
+        pass would collect for it (columns of shared trie prefixes are
+        computed once).  Returns the k-th smallest, or ``inf`` when
+        fewer than ``k`` remain.
         """
         token_ids = compiled.token_ids
         token_weight = compiled.token_weight
+        rows = compiled.plan.rows
+        roots = compiled.plan.roots
         columns: dict[tuple[int, int], list[float]] = {}
         dists: list[float] = []
         for structure in dict.fromkeys(tuple(s) for s in near):
             length = len(structure)
-            trie = compiled.tries.get(length)
-            if trie is None:
+            row = roots.get(length)
+            if row is None:
                 continue
-            fc = trie.first_child
-            ns = trie.next_sibling
-            tids = trie.token_id
-            node = 0
             col = first_col
-            for token in structure:
+            for depth, token in enumerate(structure, start=1):
                 t = token_ids.get(token, -1)
-                child = fc[node]
-                while child >= 0 and tids[child] != t:
-                    child = ns[child]
-                if child < 0:
+                starts, counts, _ = rows[depth - 1]
+                tids = rows[depth][2]
+                start = starts[row]
+                for child in range(start, start + counts[row]):
+                    if tids[child] == t:
+                        break
+                else:
                     break
-                node = child
-                key = (length, node)
+                row = child
+                key = (depth, row)
                 ncol = columns.get(key)
                 if ncol is None:
                     ncol = _column(
@@ -647,9 +648,8 @@ class StructureSearchEngine:
                     columns[key] = ncol
                 col = ncol
             else:
-                if trie.sentence_id[node] >= 0 and (
-                    not bit or node_masks[length][node] & bit
-                ):
+                # A length-L structure's row at depth L is its terminal.
+                if not bit or row_masks[length][row] & bit:
                     dists.append(col[-1])
         if len(dists) < k:
             return _INF
@@ -665,61 +665,60 @@ class StructureSearchEngine:
         first_col: list[float],
         k: int,
         use_dap: bool,
-        node_mask: array | None,
+        row_masks: tuple[np.ndarray, ...] | None,
         bit: int,
     ) -> float:
         """Upper bound on the k-th best distance via a width-``k`` beam.
 
-        Walks the length-``length`` trie level by level keeping the
-        ``k`` most promising partial columns (scalar DP through
-        :func:`_column`, a few thousand cells at most; the near seed
-        steps through the same function, so both report the pass's
+        Walks the length-``length`` trie down the plan, depth by depth,
+        keeping the ``k`` most promising partial columns (scalar DP
+        through :func:`_column`, a few thousand cells at most; the near
+        seed steps through the same function, so both report the pass's
         exact distances).  Skipped when a near seed set the cutoff.
         Any ``k`` genuine terminal distances bound the k-th best
         overall from above, so the result is a valid prune
         cutoff no matter how the beam chose — accuracy is never at
-        stake, only prune power.  With INV (``node_mask`` and ``bit``)
+        stake, only prune power.  With INV (``row_masks`` and ``bit``)
         and DAP the beam stays inside the subtrie the pass searches:
         it drops the children without the keyword bit, then applies
         DAP to each parent's remaining children.  Returns ``inf`` when
         fewer than ``k`` terminals are reached.
         """
-        trie: CompiledTrie = compiled.tries[length]
-        fc = trie.first_child
-        ns = trie.next_sibling
-        tids = trie.token_id
-        sids = trie.sentence_id
+        rows = compiled.plan.rows
         token_weight = compiled.token_weight
         prime = compiled.prime
-        beam: list[tuple[float, int, list[float]]] = [(0.0, 0, first_col)]
-        while beam:
+        beam: list[tuple[float, int, list[float]]] = [
+            (0.0, compiled.plan.roots[length], first_col)
+        ]
+        for depth in range(1, length + 1):
+            starts, counts, _ = rows[depth - 1]
+            tids = rows[depth][2]
+            masks = memoryview(row_masks[depth]) if bit else None
             expanded: list[tuple[float, int, list[float]]] = []
-            for _, node, col in beam:
-                first = len(expanded)
-                child = fc[node]
-                while child >= 0:
-                    if bit and not node_mask[child] & bit:
-                        child = ns[child]
+            for _, row, col in beam:
+                start = starts[row]
+                run = []
+                for child in range(start, start + counts[row]):
+                    if bit and not masks[child] & bit:
                         continue
                     t = tids[child]
                     ncol = _column(
                         col, t, token_weight[t], masked_ids, mask_weights
                     )
-                    expanded.append((ncol[-1], child, ncol))
-                    child = ns[child]
+                    run.append((ncol[-1], child, ncol))
                 if use_dap:
-                    run = expanded[first:]
                     primes = [e for e in run if prime[tids[e[1]]]]
                     if len(primes) > 1:
-                        expanded[first:] = [
-                            e for e in run if not prime[tids[e[1]]]
-                        ] + [min(primes, key=lambda e: e[0])]
+                        run = [e for e in run if not prime[tids[e[1]]]] + [
+                            min(primes, key=lambda e: e[0])
+                        ]
+                expanded.extend(run)
+            if not expanded:
+                return _INF
             expanded.sort(key=lambda e: e[0])
-            if expanded and sids[expanded[0][1]] >= 0:
-                # The trie's terminals are exactly its deepest level.
-                return expanded[k - 1][0] if len(expanded) >= k else _INF
             beam = expanded[:k]
-        return _INF
+        # The trie's terminals are exactly its depth-``length`` rows.
+        return beam[k - 1][0] if len(beam) >= k else _INF
 
 
 def _column(

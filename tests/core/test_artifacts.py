@@ -7,6 +7,7 @@ from repro.core import SpeakQL, SpeakQLArtifacts
 from repro.core.artifacts import structure_cache_path
 from repro.core.clauses import ClauseKind, ClauseSpeakQL
 from repro.structure.search import StructureSearchEngine
+from repro.structure.trie import TrieNode
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +96,35 @@ class TestCacheRoundTrip:
         assert structure_cache_path(tmp_path, 8).exists()
         assert structure_cache_path(tmp_path, 10).exists()
         assert len(bigger.structure_index) > len(small.structure_index)
+
+
+class TestNoNodeTries:
+    def test_build_dictate_and_clause_index_make_no_trie_node(
+        self, monkeypatch, small_catalog
+    ):
+        # The production path lowers structures straight into the level
+        # plan; node tries exist for the test oracle alone.
+        made = []
+        init = TrieNode.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrieNode, "__init__", counting_init)
+        artifacts = SpeakQLArtifacts.build(
+            max_structure_tokens=10, engine=make_custom_engine()
+        )
+        out = SpeakQL(small_catalog, artifacts=artifacts).query_from_speech(
+            "SELECT AVG ( salary ) FROM Salaries", seed=3
+        )
+        assert out.sql
+        clause_index = artifacts.clause_index(ClauseKind.WHERE)
+        results, _ = StructureSearchEngine(clause_index).search(
+            ("WHERE", "x", "=", "x"), k=3
+        )
+        assert results
+        assert made == []
+        # The counter sees node tries when something does build them.
+        assert clause_index.tries
+        assert made

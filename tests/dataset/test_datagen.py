@@ -54,7 +54,7 @@ class TestGeneration:
     def test_structures_match_sql(self, records):
         recs, _ = records
         for record in recs:
-            assert len(record.structure) == len(record.sql.split()) or True
+            assert len(record.structure) == len(record.sql.split())
             # placeholder count equals bound literal count
             assert record.structure.count("x") == len(record.categories)
 

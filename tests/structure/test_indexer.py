@@ -15,10 +15,11 @@ class TestBuild:
         assert len(small_index) == expected
 
     def test_duplicates_ignored(self):
-        index = StructureIndex()
-        index.add(("SELECT", "x", "FROM", "x"))
-        index.add(("SELECT", "x", "FROM", "x"))
+        index = StructureIndex.from_structures(
+            [("SELECT", "x", "FROM", "x"), ("SELECT", "x", "FROM", "x")]
+        )
         assert len(index) == 1
+        assert index.structures == (("SELECT", "x", "FROM", "x"),)
 
     def test_lengths_sorted(self, small_index):
         assert small_index.lengths == sorted(small_index.lengths)
@@ -29,11 +30,9 @@ class TestBuild:
 
 class TestInvertedIndex:
     def test_keyword_postings(self):
-        index = StructureIndex()
         with_avg = ("SELECT", "AVG", "(", "x", ")", "FROM", "x")
         without = ("SELECT", "x", "FROM", "x")
-        index.add(with_avg)
-        index.add(without)
+        index = StructureIndex.from_structures([with_avg, without])
         assert index.inverted["AVG"] == [with_avg]
 
     def test_common_keywords_excluded(self, small_index):
@@ -41,14 +40,17 @@ class TestInvertedIndex:
             assert keyword not in small_index.inverted
 
     def test_rarest_posting_chosen(self):
-        index = StructureIndex()
-        index.add(("SELECT", "x", "FROM", "x", "LIMIT", "x"))
-        index.add(("SELECT", "x", "FROM", "x", "ORDER", "BY", "x"))
-        index.add(("SELECT", "x", "FROM", "x", "ORDER", "BY", "x", "LIMIT", "x"))
+        structures = [
+            ("SELECT", "x", "FROM", "x", "LIMIT", "x"),
+            ("SELECT", "x", "FROM", "x", "ORDER", "BY", "x"),
+            ("SELECT", "x", "FROM", "x", "ORDER", "BY", "x", "LIMIT", "x"),
+        ]
+        index = StructureIndex.from_structures(structures)
         # LIMIT and ORDER hold two postings each: the first one wins ties.
         assert index.rarest_keyword(["LIMIT", "ORDER"]) == "LIMIT"
         assert index.rarest_keyword(["ORDER", "LIMIT"]) == "ORDER"
-        index.add(("SELECT", "x", "FROM", "x", "ORDER", "BY", "x", ",", "x"))
+        structures.append(("SELECT", "x", "FROM", "x", "ORDER", "BY", "x", ",", "x"))
+        index = StructureIndex.from_structures(structures)
         # A strictly smaller postings list wins; tokens are upper-cased.
         assert index.rarest_keyword(["order", "x", "limit"]) == "LIMIT"
 

@@ -100,7 +100,7 @@ class TestTiesAndEdges:
     def test_closest_trie_below_k(self, small_index, weights, flags):
         # The shortest tries of the small index hold 2 and 5 structures,
         # so queries of 3-6 tokens start from a trie with fewer than k.
-        counts = small_index.compiled(weights).level_plan().structures
+        counts = small_index.compiled(weights).plan.structures
         shortest = min(counts)
         assert counts[shortest] < max(KS)
         queries = [q for q in _queries(small_index, 5, 60) if len(q) <= 6]

@@ -102,9 +102,10 @@ class TestApproximations:
         # Structures differing only in the aggregate keyword: asked for
         # all five, the default explores every branch; DAP explores one
         # and returns one structure.
-        index = StructureIndex()
-        for func in ("AVG", "SUM", "MAX", "MIN", "COUNT"):
-            index.add(("SELECT", func, "(", "x", ")", "FROM", "x"))
+        index = StructureIndex.from_structures(
+            ("SELECT", func, "(", "x", ")", "FROM", "x")
+            for func in ("AVG", "SUM", "MAX", "MIN", "COUNT")
+        )
         masked = tuple("SELECT AVG ( x ) FROM x".split())
         default = StructureSearchEngine(index, cache_results=False)
         dap = StructureSearchEngine(index, use_dap=True, cache_results=False)
@@ -116,9 +117,10 @@ class TestApproximations:
 
     def test_dap_can_lose_accuracy(self):
         # The pruned branch may hold the true best: DAP trades accuracy.
-        index = StructureIndex()
-        index.add(("SELECT", "AVG", "(", "x", ")", "FROM", "x"))
-        index.add(("SELECT", "SUM", "(", "x", ")", "FROM", "x"))
+        index = StructureIndex.from_structures([
+            ("SELECT", "AVG", "(", "x", ")", "FROM", "x"),
+            ("SELECT", "SUM", "(", "x", ")", "FROM", "x"),
+        ])
         dap = StructureSearchEngine(index, use_dap=True, cache_results=False)
         results, _ = dap.search(tuple("SELECT SUM ( x ) FROM x".split()))
         # Whatever branch survives, a result is always returned.

@@ -13,10 +13,10 @@ from repro.structure.search import StructureSearchEngine
 
 @pytest.fixture()
 def two_candidate_index():
-    index = StructureIndex()
-    index.add(tuple("SELECT x FROM x WHERE x = x".split()))
-    index.add(tuple("SELECT x , x FROM x".split()))
-    return index
+    return StructureIndex.from_structures([
+        tuple("SELECT x FROM x WHERE x = x".split()),
+        tuple("SELECT x , x FROM x".split()),
+    ])
 
 
 class TestWeightOrdering:
@@ -45,11 +45,9 @@ class TestWeightOrdering:
     def test_inverted_ordering_can_flip_result(self):
         # With literals weighted ABOVE keywords, deleting a keyword
         # becomes the cheap move — the paper's ordering claim, inverted.
-        index = StructureIndex()
         keyword_heavy = tuple("SELECT x FROM x WHERE x = x".split())
         literal_heavy = tuple("SELECT x , x , x FROM x".split())
-        index.add(keyword_heavy)
-        index.add(literal_heavy)
+        index = StructureIndex.from_structures([keyword_heavy, literal_heavy])
         masked = tuple("SELECT x x x FROM x".split())
         normal = StructureSearchEngine(index)
         inverted = StructureSearchEngine(

@@ -2,8 +2,8 @@
 
 ``CompiledStructureIndex.reweighted`` derives a variant for different
 token weights; these tests pin down that the variants share (never
-copy) the tries, the level plan and the keyword masks: only the per-id
-weight vector differs.
+copy) the level plan and the keyword masks: only the per-id weight
+vector differs.
 """
 
 from __future__ import annotations
@@ -39,21 +39,21 @@ class TestReweightedBufferReuse:
     def test_changed_weights_share_structural_buffers(self, compiled):
         other = compiled.reweighted(UNIT_WEIGHTS)
         assert other is not compiled
-        for length, trie in compiled.tries.items():
-            new = other.tries[length]
-            assert new.first_child is trie.first_child
-            assert new.next_sibling is trie.next_sibling
-            assert new.token_id is trie.token_id
-            assert new.sentence_id is trie.sentence_id
+        assert other.tokens is compiled.tokens
+        assert other.sentences is compiled.sentences
+        for level, new in zip(compiled.plan.levels, other.plan.levels):
+            assert new.token_id is level.token_id
+            assert new.sentence_id is level.sentence_id
+            assert new.child_start is level.child_start
+            assert new.child_count is level.child_count
 
     def test_weight_variants_share_one_level_plan(self, compiled):
-        # The plan is purely structural, built once whichever variant
-        # asks first.
+        # The plan is purely structural, built once by the compile.
         other = compiled.reweighted(UNIT_WEIGHTS)
-        assert other.level_plan() is compiled.level_plan()
+        assert other.plan is compiled.plan
 
     def test_level_plan_lays_every_trie_out_by_depth(self, compiled):
-        plan = compiled.level_plan()
+        plan = compiled.plan
         assert list(plan.levels[0].length) == compiled.lengths
         for depth, level in enumerate(plan.levels):
             assert list(level.length) == sorted(level.length)
@@ -64,9 +64,9 @@ class TestReweightedBufferReuse:
             terminal = level.sentence_id >= 0
             # A length-L trie's terminals are exactly its depth-L nodes.
             assert list(terminal) == list(level.length == depth)
+        lengths = [len(s) for s in compiled.sentences]
         assert plan.structures == {
-            length: sum(1 for s in trie.sentence_id if s >= 0)
-            for length, trie in compiled.tries.items()
+            length: lengths.count(length) for length in sorted(set(lengths))
         }
         assert sum(plan.structures.values()) == len(compiled)
 
@@ -74,20 +74,22 @@ class TestReweightedBufferReuse:
         lines = StructureIndex.from_structures(
             [("SELECT", "x"), ("SELECT", "x", "FROM", "x")]
         ).compiled().to_lines()
-        # Mark the length-4 trie's depth-2 node terminal instead of its
-        # depth-4 leaf: the file still loads, the plan refuses it.
-        assert lines[-1] == "-1 -1 -1 -1 1"
-        lines[-1] = "-1 -1 1 -1 -1"
-        loaded = CompiledStructureIndex.from_lines(lines)
-        with pytest.raises(ValueError, match="trie 4"):
-            loaded.level_plan()
+        # Move the length-4 trie's sentence id from its depth-4 leaf to
+        # its depth-2 node: the load refuses the plan.
+        level2 = lines.index("level 2 2")
+        assert lines[level2 + 2] == "0 -1"
+        assert lines[-2] == "1"
+        lines[level2 + 2] = "0 1"
+        lines[-2] = "-1"
+        with pytest.raises(ValueError, match="sentence ids must sit exactly"):
+            CompiledStructureIndex.from_lines(lines)
 
     def test_unaffected_tries_keep_their_weight_buffers(self, compiled):
-        # Tries hold no weights, so every variant reuses them outright.
+        # The plan holds no weights, so every variant reuses it outright.
         base = compiled.reweighted(UNIT_WEIGHTS)
         again = base.reweighted(DEFAULT_WEIGHTS)
         back = again.reweighted(UNIT_WEIGHTS)
-        assert back.tries is compiled.tries
+        assert back.plan is compiled.plan
         assert list(back.token_weight) == list(base.token_weight)
 
     def test_weight_variants_share_one_keyword_mask(self, compiled):
@@ -103,7 +105,7 @@ class TestReweightedBufferReuse:
                 lengths[len(posting)] = lengths.get(len(posting), 0) + 1
             assert masks.structures[keyword] == lengths, keyword
         compiled = small_index.compiled()
-        plan = compiled.level_plan()
+        plan = compiled.plan
         for depth, level in enumerate(plan.levels[1:], start=1):
             rows = masks.levels[depth]
             assert rows.shape == level.token_id.shape
